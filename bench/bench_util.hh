@@ -26,7 +26,6 @@
 #ifndef VSPEC_BENCH_BENCH_UTIL_HH
 #define VSPEC_BENCH_BENCH_UTIL_HH
 
-#include <cerrno>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -36,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "vsim/base/cli.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/base/stats.hh"
 #include "vsim/sim/report.hh"
@@ -71,65 +71,46 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/**
- * Parse a full-token positive integer; anything else (trailing
- * garbage, empty, zero, negative, overflow) is a usage error.
- * `--scale abc` used to silently become scale 0 through atoi.
- */
-inline int
-parsePositiveInt(const char *argv0, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || v <= 0
-        || v > std::numeric_limits<int>::max()) {
-        std::fprintf(stderr, "expected a positive integer, got '%s'\n",
-                     text);
-        usage(argv0);
-    }
-    return static_cast<int>(v);
-}
-
 inline Options
 parseOptions(int argc, char **argv)
 {
     Options opt;
-    for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                usage(argv[0]);
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const char *arg = argv[i];
+            auto is = [arg](const char *flag) {
+                return std::strcmp(arg, flag) == 0;
+            };
+            auto value = [&] { return vsim::flagValue(argc, argv, i); };
+            if (is("--quick")) {
+                opt.quick = true;
+            } else if (is("--scale")) {
+                opt.scale = vsim::parsePositiveInt(arg, value());
+            } else if (is("--jobs")) {
+                opt.jobs = vsim::parsePositiveInt(arg, value());
+            } else if (is("--json")) {
+                opt.jsonPath = value();
+            } else if (is("--csv")) {
+                opt.csvPath = value();
+            } else if (is("--metrics-interval")) {
+                opt.metricsInterval = static_cast<std::uint64_t>(
+                    vsim::parsePositiveInt(arg, value()));
+            } else if (is("--metrics")) {
+                opt.metricsPath = value();
+            } else if (is("--trace-json")) {
+                opt.traceJsonPath = value();
+            } else if (is("--progress")) {
+                opt.progress = true;
+            } else {
+                throw vsim::FatalError(std::string("unknown flag ")
+                                       + arg);
             }
-            return argv[++i];
-        };
-        if (std::strcmp(argv[i], "--quick") == 0) {
-            opt.quick = true;
-        } else if (std::strcmp(argv[i], "--scale") == 0) {
-            opt.scale =
-                parsePositiveInt(argv[0], need_value("--scale"));
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            opt.jobs = parsePositiveInt(argv[0], need_value("--jobs"));
-        } else if (std::strcmp(argv[i], "--json") == 0) {
-            opt.jsonPath = need_value("--json");
-        } else if (std::strcmp(argv[i], "--csv") == 0) {
-            opt.csvPath = need_value("--csv");
-        } else if (std::strcmp(argv[i], "--metrics-interval") == 0) {
-            opt.metricsInterval = static_cast<std::uint64_t>(
-                parsePositiveInt(argv[0],
-                                 need_value("--metrics-interval")));
-        } else if (std::strcmp(argv[i], "--metrics") == 0) {
-            opt.metricsPath = need_value("--metrics");
-        } else if (std::strcmp(argv[i], "--trace-json") == 0) {
-            opt.traceJsonPath = need_value("--trace-json");
-        } else if (std::strcmp(argv[i], "--progress") == 0) {
-            opt.progress = true;
-        } else {
-            usage(argv[0]);
         }
-    }
-    if (!opt.metricsPath.empty() && opt.metricsInterval == 0) {
-        std::fprintf(stderr, "--metrics needs --metrics-interval N\n");
+        if (!opt.metricsPath.empty() && opt.metricsInterval == 0)
+            throw vsim::FatalError(
+                "--metrics needs --metrics-interval N");
+    } catch (const vsim::FatalError &err) {
+        std::fprintf(stderr, "%s\n", err.what());
         usage(argv[0]);
     }
     return opt;

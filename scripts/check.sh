@@ -35,8 +35,8 @@ cmake --build build-tsan -j --target test_sweep test_obs test_cpi \
 # drives it end to end.
 ./build-tsan/tests/test_shard \
     --gtest_filter='ShardMerge.ParallelWorkersMatchInline'
-# The sweep daemon's accept loop, per-connection threads, batch
-# condvars and disk-backed RunCache are this PR's concurrency
+# The disk-backed RunCache is shared by every SweepRunner worker: its
+# in-flight dedupe and its disk store/load paths are the concurrency
 # surface. The fork-based two-process test stays out: forking a
 # threaded TSan process is undefined.
 cmake --build build-tsan -j --target test_disk_cache
@@ -87,10 +87,10 @@ cmake --build build-asan -j --target test_trace
 cmake --build build-asan -j --target test_shard
 ./build-asan/tests/test_shard --gtest_filter=\
 'Snapshot.*:PlanShards.*:ShardMerge.FullWarmupIdenticalAcrossShardCounts:ShardMerge.ParallelWorkersMatchInline'
-# The disk-cache codec and the daemon wire protocol move raw bytes
-# through hand-rolled buffers, hex decoding and checksum scans —
-# ASan/UBSan territory end to end (including the corrupt/truncated
-# eviction paths and the fork-based two-process store test).
+# The .vsr disk-cache codec moves raw bytes through hand-rolled
+# buffers and checksum scans — ASan/UBSan territory end to end
+# (including the corrupt/truncated eviction paths and the fork-based
+# two-process store test).
 cmake --build build-asan -j --target test_disk_cache
 ./build-asan/tests/test_disk_cache
 # BBV accumulation, the k-means clusterer and the weighted merges all
@@ -194,54 +194,6 @@ with open(sys.argv[1]) as f:
     cells = json.load(f)
 hits = sum(c["cache_hit"] for c in cells)
 print(f"warm sweep: {hits}/{len(cells)} cells served from the cache")
-sys.exit(0 if cells and hits == len(cells) else 1)
-EOF
-
-echo "== tier-1: sweep daemon (concurrent clients, restart, all hits) =="
-sock="$obs_dir/sweepd.sock"
-daemon_cache="$obs_dir/daemon-cache"
-./build/tools/vspec_sweepd --socket "$sock" \
-    --cache-dir "$daemon_cache" --workers 4 \
-    2> "$obs_dir/sweepd1.log" &
-daemon_pid=$!
-for _ in $(seq 100); do [ -S "$sock" ] && break; sleep 0.05; done
-# Two concurrent clients with overlapping grids; the daemon dedupes
-# shared cells through its one RunCache.
-./build/tools/vspec_sweep base --quick --scale 1 --jobs 4 \
-    --server "$sock" > "$obs_dir/daemon_a.txt" &
-client_a=$!
-./build/tools/vspec_sweep fig4 --quick --scale 1 --jobs 4 \
-    --server "$sock" > "$obs_dir/daemon_b.txt" &
-client_b=$!
-wait "$client_a" "$client_b"
-kill "$daemon_pid"
-wait "$daemon_pid" || true
-# Restart over the same disk cache: the re-swept batch must arrive
-# without a single simulation and byte-identical.
-./build/tools/vspec_sweepd --socket "$sock" \
-    --cache-dir "$daemon_cache" --workers 4 \
-    2> "$obs_dir/sweepd2.log" &
-daemon_pid=$!
-for _ in $(seq 100); do [ -S "$sock" ] && break; sleep 0.05; done
-./build/tools/vspec_sweep base --quick --scale 1 --jobs 4 \
-    --server "$sock" --json "$obs_dir/daemon_a2.json" \
-    > "$obs_dir/daemon_a2.txt"
-kill "$daemon_pid"
-wait "$daemon_pid" || true
-diff <(sweep_table "$obs_dir/daemon_a.txt") \
-     <(sweep_table "$obs_dir/daemon_a2.txt")
-# And a daemon-served sweep must match the direct (in-process) run
-# byte for byte, given the same --jobs header.
-./build/tools/vspec_sweep base --quick --scale 1 --jobs 4 \
-    > "$obs_dir/daemon_direct.txt"
-diff <(sweep_table "$obs_dir/daemon_direct.txt") \
-     <(sweep_table "$obs_dir/daemon_a.txt")
-python3 - "$obs_dir/daemon_a2.json" <<'EOF'
-import json, sys
-with open(sys.argv[1]) as f:
-    cells = json.load(f)
-hits = sum(c["cache_hit"] for c in cells)
-print(f"restarted daemon: {hits}/{len(cells)} cells from the disk cache")
 sys.exit(0 if cells and hits == len(cells) else 1)
 EOF
 

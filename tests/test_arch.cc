@@ -36,12 +36,23 @@ makeInst(Op op, int ra, int rb, int rc, int imm)
 
 // ---- evaluate(): ALU semantics ---------------------------------------
 
+// gtest names each case by the raw bytes of its AluCase, so the padding
+// after `op` is an explicit zeroed member: left implicit, it holds
+// whatever the stack held and the test names change from run to run.
 struct AluCase
 {
+    AluCase(Op op_, std::uint64_t a_, std::uint64_t b_,
+            std::uint64_t expect_)
+        : op(op_), a(a_), b(b_), expect(expect_)
+    {
+    }
+
     Op op;
+    std::uint8_t pad[7] = {};
     std::uint64_t a, b;
     std::uint64_t expect;
 };
+static_assert(sizeof(AluCase) == 32, "AluCase must have no implicit padding");
 
 class AluSemantics : public ::testing::TestWithParam<AluCase>
 {

@@ -17,6 +17,7 @@
 
 #include "vsim/arch/functional_core.hh"
 #include "vsim/assembler/assembler.hh"
+#include "vsim/base/cli.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/isa/isa.hh"
 
@@ -29,27 +30,27 @@ main(int argc, char **argv)
     bool list = false, run = false;
     std::uint64_t max_insts = 100'000'000;
 
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--list")) {
-            list = true;
-        } else if (!std::strcmp(argv[i], "--run")) {
-            run = true;
-        } else if (!std::strcmp(argv[i], "--max") && i + 1 < argc) {
-            max_insts = std::strtoull(argv[++i], nullptr, 10);
-        } else if (argv[i][0] != '-' && file.empty()) {
-            file = argv[i];
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s FILE.s [--list] [--run] "
-                         "[--max N]\n",
-                         argv[0]);
-            return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            if (!std::strcmp(argv[i], "--list")) {
+                list = true;
+            } else if (!std::strcmp(argv[i], "--run")) {
+                run = true;
+            } else if (!std::strcmp(argv[i], "--max")) {
+                max_insts =
+                    parsePositiveU64("--max", flagValue(argc, argv, i));
+            } else if (argv[i][0] != '-' && file.empty()) {
+                file = argv[i];
+            } else {
+                throw FatalError(std::string("unknown flag ") + argv[i]);
+            }
         }
-    }
-    if (file.empty() || (!list && !run)) {
+        if (file.empty() || (!list && !run))
+            throw FatalError("give a FILE.s and --list and/or --run");
+    } catch (const FatalError &err) {
         std::fprintf(stderr,
-                     "usage: %s FILE.s [--list] [--run] [--max N]\n",
-                     argv[0]);
+                     "%s\nusage: %s FILE.s [--list] [--run] [--max N]\n",
+                     err.what(), argv[0]);
         return 2;
     }
 

@@ -19,19 +19,19 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
 
 #include "vsim/assembler/assembler.hh"
+#include "vsim/base/cli.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/core/ooo_core.hh"
 #include "vsim/obs/cpi.hh"
 #include "vsim/obs/interval.hh"
 #include "vsim/obs/trace_export.hh"
-#include "vsim/sim/disk_cache.hh"
 #include "vsim/sim/report.hh"
+#include "vsim/sim/run_flags.hh"
 #include "vsim/sim/simulator.hh"
 #include "vsim/sim/sweep.hh"
 #include "vsim/trace/trace_io.hh"
@@ -51,33 +51,21 @@ usage(const char *argv0)
         argv0);
     for (const auto &w : vsim::workloads::all())
         std::fprintf(stderr, " %s", w.name.c_str());
-    std::fprintf(
-        stderr,
+    std::fputs(
         "\n"
-        "  --asm FILE        assemble and run a VRISC .s file\n"
+        "  --asm FILE        assemble and run a VRISC .s file (not\n"
+        "                    cached)\n"
         "  --trace FILE      replay a recorded .vst instruction trace\n"
         "                    (see vspec-tracegen); decode-free and\n"
         "                    digest-identical to direct simulation\n"
         "  --scale N         workload work factor (default: built-in)\n"
-        "  --width N         issue width (default 8)\n"
-        "  --window N        window size (default 48, max 512)\n"
-        "  --fetch-width N   fetch width (default: issue width)\n"
-        "  --base            disable value prediction (default)\n"
-        "  --model M         super|great|good, or a custom latency\n"
-        "                    tuple E,EI,EV,VF,IR,VB,VA such as\n"
-        "                    0,0,1,1,1,1,1 (enables prediction)\n"
-        "  --verify-scheme V flattened|hierarchical|retirement|hybrid\n"
-        "  --inval-scheme I  flattened|hierarchical|complete\n"
-        "  --select S        typed-spec-last|typed-only|oldest-first|\n"
-        "                    typed-spec-first\n"
-        "  --mem-resolution R\n"
-        "                    valid: memory ops need valid addresses\n"
-        "                    (default, paper §3.2); spec: loads may\n"
-        "                    issue with speculative addresses and\n"
-        "                    forward speculative store data\n"
-        "  --sweep-kind K    dense|sparse verification/invalidation\n"
-        "                    sweep domain (identical results; sparse\n"
-        "                    is the default, dense the legacy scan)\n"
+        "  --width N         issue width (1..512, default 8; the\n"
+        "                    window defaults to 48)\n"
+        "  --base            disable value prediction (default;\n"
+        "                    --model enables it)\n",
+        stderr);
+    std::fputs(vsim::sim::kRunFlagsHelp, stderr);
+    std::fputs(
         "  --conf C          real|oracle|always (default real)\n"
         "  --conf-table-bits N\n"
         "                    log2 confidence-table entries (1..24,\n"
@@ -85,13 +73,11 @@ usage(const char *argv0)
         "  --timing T        D|I  delayed/immediate update (default D)\n"
         "  --predictor P     fcm|last-value|stride|hybrid (default fcm)\n"
         "  --pipeline [A:B]  print the pipeline diagram for cycles\n"
-        "                    A..B (default 0:200)\n"
+        "                    A..B (default 0:200; not cached)\n"
         "  --trace-retain N  keep only the youngest N instructions in\n"
         "                    the pipeline trace (bounds memory)\n"
         "  --trace-json PATH write the pipeline trace as Chrome/\n"
-        "                    Perfetto trace_event JSON\n"
-        "  --metrics-interval N\n"
-        "                    sample interval metrics every N cycles\n"
+        "                    Perfetto trace_event JSON (not cached)\n"
         "  --metrics PATH    write the interval time series as CSV\n"
         "  --counters [PATH] write the full counter/histogram registry\n"
         "                    as JSON to PATH, or print a text listing\n"
@@ -104,79 +90,21 @@ usage(const char *argv0)
         "                    of every value prediction) as JSON\n"
         "  --ledger-limit N  emit at most N ledger records (default:\n"
         "                    all; the JSON flags truncation)\n"
-        "  --shards N        split the run into N interval shards,\n"
-        "                    simulated independently and merged into\n"
-        "                    one report (see --warmup-insts)\n"
-        "  --interval-insts K\n"
-        "                    shard every K retired instructions\n"
-        "                    instead of a fixed shard count\n"
-        "  --warmup-insts W  per-shard detailed-warmup prefix in\n"
-        "                    instructions, or 'full' (default): full\n"
-        "                    replay from instruction 0, bit-identical\n"
-        "                    to the monolithic run (with --sample,\n"
-        "                    'full' means one interval of warmup)\n"
-        "  --sample N        SimPoint-style sampled replay: cluster\n"
-        "                    the trace's intervals into at most N\n"
-        "                    phases by basic-block vector, simulate\n"
-        "                    one representative per phase in detail\n"
-        "                    and weight it by the phase population\n"
-        "                    (approximate; excludes --shards/\n"
-        "                    --interval-insts)\n"
-        "  --sample-interval-insts K\n"
-        "                    sampling interval length in instructions\n"
-        "                    (default 1000000)\n"
         "  --jobs N          worker threads executing shards or\n"
         "                    sample representatives (default 1)\n"
         "  --progress        print a completion line to stderr\n"
-        "  --cache-dir PATH  persistent on-disk run cache: repeated\n"
-        "                    runs of the same configuration are served\n"
-        "                    from disk instead of re-simulated (also\n"
-        "                    via VSIM_CACHE_DIR; ignored for --asm and\n"
-        "                    pipeline-traced runs)\n"
-        "  --cache-max-bytes N\n"
-        "                    cap the cache directory at N bytes,\n"
-        "                    evicting least-recently-used entries on\n"
-        "                    insert (also via VSIM_CACHE_MAX_BYTES;\n"
-        "                    needs a cache directory)\n"
         "  --json [PATH]     emit the statistics as one JSON object\n"
-        "                    (to PATH if given, else stdout)\n");
+        "                    (to PATH if given, else stdout)\n",
+        stderr);
 }
 
-/** Full-token positive integer; exits with usage on anything else. */
-int
-parsePositiveInt(const char *argv0, const char *flag, const char *text)
+/** The operand after argv[i] unless it is a flag; advances @p i. */
+const char *
+optionalValue(int argc, char **argv, int &i)
 {
-    errno = 0;
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || v <= 0
-        || v > std::numeric_limits<int>::max()) {
-        std::fprintf(stderr, "%s expects a positive integer, got '%s'\n",
-                     flag, text);
-        usage(argv0);
-        std::exit(2);
-    }
-    return static_cast<int>(v);
-}
-
-/**
- * Full-token positive 64-bit count; exits with usage on anything else
- * (including negative numbers, which strtoull would silently wrap).
- */
-std::uint64_t
-parsePositiveU64(const char *argv0, const char *flag, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (text[0] == '-' || text[0] == '+' || end == text || *end != '\0'
-        || errno == ERANGE || v == 0) {
-        std::fprintf(stderr, "%s expects a positive count, got '%s'\n",
-                     flag, text);
-        usage(argv0);
-        std::exit(2);
-    }
-    return static_cast<std::uint64_t>(v);
+    if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
+        return argv[++i];
+    return nullptr;
 }
 
 } // namespace
@@ -188,338 +116,159 @@ main(int argc, char **argv)
 
     std::string workload, asm_file, trace_file, json_path;
     std::string metrics_path, counters_path, trace_json_path;
-    std::string stacks_path, ledger_path, cache_dir;
-    std::uint64_t cache_max_bytes = 0;
+    std::string stacks_path, ledger_path;
     int scale = -1;
     std::size_t ledger_limit = 0;
     bool ledger_limit_set = false;
     bool pipeline = false;
-    bool warmup_set = false;
     bool jobs_set = false;
     bool json = false;
     bool counters = false;
     bool stacks = false;
     bool progress = false;
     std::uint64_t pipeline_from = 0, pipeline_to = 200;
+    sim::RunFlags run_flags;
     core::CoreConfig cfg;
     cfg.issueWidth = 8;
     cfg.windowSize = 48;
 
-    for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--workload")) {
-            workload = need_value("--workload");
-        } else if (!std::strcmp(argv[i], "--asm")) {
-            asm_file = need_value("--asm");
-        } else if (!std::strcmp(argv[i], "--trace")) {
-            trace_file = need_value("--trace");
-        } else if (!std::strcmp(argv[i], "--scale")) {
-            scale = parsePositiveInt(argv[0], "--scale",
-                                     need_value("--scale"));
-        } else if (!std::strcmp(argv[i], "--width")) {
-            cfg.issueWidth = parsePositiveInt(argv[0], "--width",
-                                              need_value("--width"));
-        } else if (!std::strcmp(argv[i], "--window")) {
-            cfg.windowSize = parsePositiveInt(argv[0], "--window",
-                                              need_value("--window"));
-            if (cfg.windowSize > core::kMaxWindow) {
-                std::fprintf(stderr,
-                             "--window %d exceeds the supported "
-                             "maximum of %d\n",
-                             cfg.windowSize, core::kMaxWindow);
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--fetch-width")) {
-            cfg.fetchWidth = parsePositiveInt(
-                argv[0], "--fetch-width", need_value("--fetch-width"));
-        } else if (!std::strcmp(argv[i], "--base")) {
-            cfg.useValuePrediction = false;
-        } else if (!std::strcmp(argv[i], "--model")) {
-            cfg.useValuePrediction = true;
-            try {
-                // Keep any scheme overrides given before --model.
-                const core::SpecModel prev = cfg.model;
-                cfg.model = core::SpecModel::byName(
-                    need_value("--model"));
-                cfg.model.verifyScheme = prev.verifyScheme;
-                cfg.model.invalScheme = prev.invalScheme;
-                cfg.model.selectPolicy = prev.selectPolicy;
-                cfg.model.branchNeedsValidOps =
-                    prev.branchNeedsValidOps;
-                cfg.model.memNeedsValidOps = prev.memNeedsValidOps;
-            } catch (const FatalError &err) {
-                std::fprintf(stderr, "%s\n", err.what());
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--verify-scheme")) {
-            try {
-                cfg.model.verifyScheme = core::parseVerifyScheme(
-                    need_value("--verify-scheme"));
-            } catch (const FatalError &err) {
-                std::fprintf(stderr, "%s\n", err.what());
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--inval-scheme")) {
-            try {
-                cfg.model.invalScheme = core::parseInvalScheme(
-                    need_value("--inval-scheme"));
-            } catch (const FatalError &err) {
-                std::fprintf(stderr, "%s\n", err.what());
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--select")) {
-            try {
-                cfg.model.selectPolicy = core::parseSelectPolicy(
-                    need_value("--select"));
-            } catch (const FatalError &err) {
-                std::fprintf(stderr, "%s\n", err.what());
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--mem-resolution")) {
-            const std::string r = need_value("--mem-resolution");
-            if (r == "valid")
-                cfg.model.memNeedsValidOps = true;
-            else if (r == "spec")
-                cfg.model.memNeedsValidOps = false;
-            else {
-                std::fprintf(stderr,
-                             "--mem-resolution expects valid|spec, "
-                             "got '%s'\n",
-                             r.c_str());
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--sweep-kind")) {
-            const std::string k = need_value("--sweep-kind");
-            if (k == "sparse")
-                cfg.sweepKind = core::SweepKind::Sparse;
-            else if (k == "dense")
-                cfg.sweepKind = core::SweepKind::Dense;
-            else {
-                std::fprintf(stderr,
-                             "--sweep-kind expects dense|sparse, "
-                             "got '%s'\n",
-                             k.c_str());
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--conf-table-bits")) {
-            const int bits = parsePositiveInt(
-                argv[0], "--conf-table-bits",
-                need_value("--conf-table-bits"));
-            if (bits > 24) {
-                std::fprintf(stderr,
-                             "--conf-table-bits expects 1..24, got %d\n",
-                             bits);
-                return 2;
-            }
-            cfg.confidenceTableBits = bits;
-        } else if (!std::strcmp(argv[i], "--conf")) {
-            const std::string c = need_value("--conf");
-            if (c == "real")
-                cfg.confidence = core::ConfidenceKind::Real;
-            else if (c == "oracle")
-                cfg.confidence = core::ConfidenceKind::Oracle;
-            else if (c == "always")
-                cfg.confidence = core::ConfidenceKind::Always;
-            else {
-                std::fprintf(stderr, "bad --conf %s\n", c.c_str());
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--timing")) {
-            const std::string t = need_value("--timing");
-            if (t == "D")
-                cfg.updateTiming = core::UpdateTiming::Delayed;
-            else if (t == "I")
-                cfg.updateTiming = core::UpdateTiming::Immediate;
-            else {
-                std::fprintf(stderr, "bad --timing %s\n", t.c_str());
-                return 2;
-            }
-        } else if (!std::strcmp(argv[i], "--predictor")) {
-            cfg.valuePredictor = need_value("--predictor");
-        } else if (!std::strcmp(argv[i], "--pipeline")) {
-            pipeline = true;
-            // Optional A:B cycle-window operand.
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-                const char *w = argv[++i];
-                char *end = nullptr;
-                errno = 0;
-                const unsigned long long a = std::strtoull(w, &end, 10);
-                if (errno == ERANGE || end == w || *end != ':') {
-                    std::fprintf(
-                        stderr,
-                        "--pipeline window must be A:B, got '%s'\n", w);
-                    return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const char *arg = argv[i];
+            auto is = [arg](const char *name) {
+                return !std::strcmp(arg, name);
+            };
+            auto value = [&] { return flagValue(argc, argv, i); };
+            if (is("--workload")) {
+                workload = value();
+            } else if (is("--asm")) {
+                asm_file = value();
+            } else if (is("--trace")) {
+                trace_file = value();
+            } else if (is("--scale")) {
+                scale = parsePositiveInt(arg, value());
+            } else if (is("--width")) {
+                cfg.issueWidth =
+                    parsePositiveInt(arg, value(), core::kMaxWindow);
+            } else if (is("--base")) {
+                cfg.useValuePrediction = false;
+            } else if (run_flags.parse(argc, argv, i)) {
+                // --model also turns value prediction on; a later
+                // --base turns it off again.
+                if (is("--model"))
+                    cfg.useValuePrediction = true;
+            } else if (is("--conf-table-bits")) {
+                cfg.confidenceTableBits = parsePositiveInt(arg, value(), 24);
+            } else if (is("--conf")) {
+                const std::string c = value();
+                if (c == "real")
+                    cfg.confidence = core::ConfidenceKind::Real;
+                else if (c == "oracle")
+                    cfg.confidence = core::ConfidenceKind::Oracle;
+                else if (c == "always")
+                    cfg.confidence = core::ConfidenceKind::Always;
+                else
+                    throw FatalError("bad --conf " + c);
+            } else if (is("--timing")) {
+                const std::string t = value();
+                if (t == "D")
+                    cfg.updateTiming = core::UpdateTiming::Delayed;
+                else if (t == "I")
+                    cfg.updateTiming = core::UpdateTiming::Immediate;
+                else
+                    throw FatalError("bad --timing " + t);
+            } else if (is("--predictor")) {
+                cfg.valuePredictor = value();
+            } else if (is("--pipeline")) {
+                pipeline = true;
+                // Optional A:B cycle-window operand.
+                if (const char *w = optionalValue(argc, argv, i)) {
+                    const std::string bad =
+                        std::string("--pipeline window must be A:B, "
+                                    "got '") + w + "'";
+                    char *end = nullptr;
+                    errno = 0;
+                    const unsigned long long a =
+                        std::strtoull(w, &end, 10);
+                    if (errno == ERANGE || end == w || *end != ':')
+                        throw FatalError(bad);
+                    const char *btext = end + 1;
+                    errno = 0;
+                    const unsigned long long b =
+                        std::strtoull(btext, &end, 10);
+                    if (errno == ERANGE || end == btext || *end != '\0'
+                        || b < a)
+                        throw FatalError(bad);
+                    pipeline_from = a;
+                    pipeline_to = b;
                 }
-                const char *btext = end + 1;
-                errno = 0;
-                const unsigned long long b =
-                    std::strtoull(btext, &end, 10);
-                if (errno == ERANGE || end == btext || *end != '\0'
-                    || b < a) {
-                    std::fprintf(
-                        stderr,
-                        "--pipeline window must be A:B, got '%s'\n", w);
-                    return 2;
-                }
-                pipeline_from = a;
-                pipeline_to = b;
+            } else if (is("--trace-retain")) {
+                cfg.traceRetain =
+                    static_cast<std::size_t>(parsePositiveInt(arg, value()));
+            } else if (is("--trace-json")) {
+                trace_json_path = value();
+            } else if (is("--metrics")) {
+                metrics_path = value();
+            } else if (is("--counters")) {
+                counters = true;
+                if (const char *path = optionalValue(argc, argv, i))
+                    counters_path = path;
+            } else if (is("--stacks")) {
+                stacks = true;
+                if (const char *path = optionalValue(argc, argv, i))
+                    stacks_path = path;
+            } else if (is("--ledger")) {
+                ledger_path = value();
+            } else if (is("--ledger-limit")) {
+                ledger_limit =
+                    static_cast<std::size_t>(parsePositiveInt(arg, value()));
+                ledger_limit_set = true;
+            } else if (is("--jobs")) {
+                cfg.shardJobs = parsePositiveInt(arg, value());
+                jobs_set = true;
+            } else if (is("--progress")) {
+                progress = true;
+            } else if (is("--json")) {
+                json = true;
+                if (const char *path = optionalValue(argc, argv, i))
+                    json_path = path;
+            } else {
+                throw FatalError(std::string("unknown flag ") + arg);
             }
-        } else if (!std::strcmp(argv[i], "--trace-retain")) {
-            cfg.traceRetain = static_cast<std::size_t>(
-                parsePositiveInt(argv[0], "--trace-retain",
-                                 need_value("--trace-retain")));
-        } else if (!std::strcmp(argv[i], "--trace-json")) {
-            trace_json_path = need_value("--trace-json");
-        } else if (!std::strcmp(argv[i], "--metrics-interval")) {
-            cfg.metricsInterval = static_cast<std::uint64_t>(
-                parsePositiveInt(argv[0], "--metrics-interval",
-                                 need_value("--metrics-interval")));
-        } else if (!std::strcmp(argv[i], "--metrics")) {
-            metrics_path = need_value("--metrics");
-        } else if (!std::strcmp(argv[i], "--counters")) {
-            counters = true;
-            // Optional output path operand.
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-                counters_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--stacks")) {
-            stacks = true;
-            // Optional output path operand.
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-                stacks_path = argv[++i];
-        } else if (!std::strcmp(argv[i], "--ledger")) {
-            ledger_path = need_value("--ledger");
-        } else if (!std::strcmp(argv[i], "--ledger-limit")) {
-            ledger_limit = static_cast<std::size_t>(
-                parsePositiveInt(argv[0], "--ledger-limit",
-                                 need_value("--ledger-limit")));
-            ledger_limit_set = true;
-        } else if (!std::strcmp(argv[i], "--shards")) {
-            cfg.shards = parsePositiveU64(argv[0], "--shards",
-                                          need_value("--shards"));
-        } else if (!std::strcmp(argv[i], "--interval-insts")) {
-            cfg.intervalInsts =
-                parsePositiveU64(argv[0], "--interval-insts",
-                                 need_value("--interval-insts"));
-        } else if (!std::strcmp(argv[i], "--warmup-insts")) {
-            const char *w = need_value("--warmup-insts");
-            cfg.warmupInsts =
-                !std::strcmp(w, "full")
-                    ? UINT64_MAX
-                    : parsePositiveU64(argv[0], "--warmup-insts", w);
-            warmup_set = true;
-        } else if (!std::strcmp(argv[i], "--sample")) {
-            cfg.sampleK = parsePositiveU64(argv[0], "--sample",
-                                           need_value("--sample"));
-        } else if (!std::strcmp(argv[i], "--sample-interval-insts")) {
-            cfg.sampleIntervalInsts = parsePositiveU64(
-                argv[0], "--sample-interval-insts",
-                need_value("--sample-interval-insts"));
-        } else if (!std::strcmp(argv[i], "--jobs")) {
-            cfg.shardJobs = parsePositiveInt(argv[0], "--jobs",
-                                             need_value("--jobs"));
-            jobs_set = true;
-        } else if (!std::strcmp(argv[i], "--progress")) {
-            progress = true;
-        } else if (!std::strcmp(argv[i], "--cache-dir")) {
-            cache_dir = need_value("--cache-dir");
-        } else if (!std::strcmp(argv[i], "--cache-max-bytes")) {
-            cache_max_bytes = parsePositiveU64(
-                argv[0], "--cache-max-bytes",
-                need_value("--cache-max-bytes"));
-        } else if (!std::strcmp(argv[i], "--json")) {
-            json = true;
-            // Optional output path operand.
-            if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0)
-                json_path = argv[++i];
-        } else {
-            usage(argv[0]);
-            return 2;
         }
-    }
-    const int sources = (workload.empty() ? 0 : 1)
-                        + (asm_file.empty() ? 0 : 1)
-                        + (trace_file.empty() ? 0 : 1);
-    if (sources != 1) {
+        const int sources = (workload.empty() ? 0 : 1)
+                            + (asm_file.empty() ? 0 : 1)
+                            + (trace_file.empty() ? 0 : 1);
+        if (sources != 1)
+            throw FatalError("give exactly one of --workload, --asm "
+                             "and --trace");
+        if (!metrics_path.empty() && run_flags.metricsInterval == 0)
+            throw FatalError("--metrics needs --metrics-interval N");
+        if (ledger_limit_set && ledger_path.empty())
+            throw FatalError("--ledger-limit needs --ledger PATH");
+        run_flags.finish(jobs_set ? "--jobs" : nullptr);
+        if (run_flags.sharded() && !asm_file.empty())
+            throw FatalError("sharded/sampled runs support --workload "
+                             "and --trace only, not --asm");
+        if (run_flags.sharded() && (pipeline || !trace_json_path.empty()))
+            throw FatalError("pipeline tracing needs a single monolithic "
+                             "core; drop --shards/--interval-insts/"
+                             "--sample");
+    } catch (const FatalError &err) {
+        std::fprintf(stderr, "%s\n", err.what());
         usage(argv[0]);
         return 2;
     }
-    if (!metrics_path.empty() && cfg.metricsInterval == 0) {
-        std::fprintf(stderr,
-                     "--metrics needs --metrics-interval N\n");
-        return 2;
-    }
-    if (ledger_limit_set && ledger_path.empty()) {
-        std::fprintf(stderr, "--ledger-limit needs --ledger PATH\n");
-        return 2;
-    }
-    if (cfg.shards > 0 && cfg.intervalInsts > 0) {
-        std::fprintf(stderr, "--shards and --interval-insts are "
-                             "mutually exclusive\n");
-        return 2;
-    }
-    if (cfg.sampleK > 0 && (cfg.shards > 0 || cfg.intervalInsts > 0)) {
-        std::fprintf(stderr, "--sample and --shards/--interval-insts "
-                             "are mutually exclusive\n");
-        return 2;
-    }
-    if (cfg.sampleIntervalInsts > 0 && cfg.sampleK == 0) {
-        std::fprintf(stderr,
-                     "--sample-interval-insts needs --sample\n");
-        return 2;
-    }
-    const bool sharded = cfg.shards > 0 || cfg.intervalInsts > 0
-                         || cfg.sampleK > 0;
-    if ((warmup_set || jobs_set) && !sharded) {
-        std::fprintf(stderr, "--warmup-insts/--jobs need --shards, "
-                             "--interval-insts or --sample\n");
-        return 2;
-    }
-    if (sharded && !asm_file.empty()) {
-        std::fprintf(stderr, "sharded/sampled runs support --workload "
-                             "and --trace only, not --asm\n");
-        return 2;
-    }
+    run_flags.applyTo(cfg);
     const bool trace_json = !trace_json_path.empty();
     cfg.tracePipeline = pipeline || trace_json;
-    if (sharded && cfg.tracePipeline) {
-        std::fprintf(stderr, "pipeline tracing needs a single "
-                             "monolithic core; drop --shards/"
-                             "--interval-insts/--sample\n");
-        return 2;
-    }
     // Detailed per-prediction records are collected only on request —
     // the flag is part of the run's cache identity.
     cfg.specLedger = !ledger_path.empty();
-    if (cache_dir.empty()) {
-        const char *env = std::getenv("VSIM_CACHE_DIR");
-        if (env && *env)
-            cache_dir = env;
-    }
-    if (cache_max_bytes == 0) {
-        const char *env = std::getenv("VSIM_CACHE_MAX_BYTES");
-        if (env && *env)
-            cache_max_bytes = parsePositiveU64(
-                argv[0], "VSIM_CACHE_MAX_BYTES", env);
-    }
-    if (cache_max_bytes > 0 && cache_dir.empty()) {
-        std::fprintf(stderr, "--cache-max-bytes needs --cache-dir "
-                             "(or VSIM_CACHE_DIR)\n");
-        return 2;
-    }
 
     try {
-        if (!cache_dir.empty() && asm_file.empty()
-            && !cfg.tracePipeline) {
-            auto disk = std::make_shared<sim::DiskRunCache>(cache_dir);
-            disk->setMaxBytes(cache_max_bytes);
-            sim::RunCache::process().attachDisk(std::move(disk));
-        }
+        if (asm_file.empty() && !cfg.tracePipeline)
+            run_flags.attachCache();
         sim::RunResult r;
         std::string pipeline_text;
         obs::TraceWriter trace_writer;

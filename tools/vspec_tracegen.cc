@@ -11,16 +11,14 @@
  *   vspec-tracegen --all --out-dir traces/
  */
 
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 
 #include "vsim/assembler/assembler.hh"
+#include "vsim/base/cli.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/trace/trace_io.hh"
 #include "vsim/workloads/workloads.hh"
@@ -49,22 +47,6 @@ usage(const char *argv0)
         "  -o, --out FILE    output trace path\n"
         "  --out-dir DIR     output directory for --all "
         "(files are <name>.vst)\n");
-}
-
-int
-parsePositiveInt(const char *argv0, const char *flag, const char *text)
-{
-    errno = 0;
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || v <= 0
-        || v > std::numeric_limits<int>::max()) {
-        std::fprintf(stderr, "%s expects a positive integer, got '%s'\n",
-                     flag, text);
-        usage(argv0);
-        std::exit(2);
-    }
-    return static_cast<int>(v);
 }
 
 /** Record @p prog to @p path and re-validate the file end to end. */
@@ -97,32 +79,32 @@ main(int argc, char **argv)
     int scale = -1;
     bool all = false;
 
-    for (int i = 1; i < argc; ++i) {
-        auto need_value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (!std::strcmp(argv[i], "--workload")) {
-            workload = need_value("--workload");
-        } else if (!std::strcmp(argv[i], "--asm")) {
-            asm_file = need_value("--asm");
-        } else if (!std::strcmp(argv[i], "--all")) {
-            all = true;
-        } else if (!std::strcmp(argv[i], "--scale")) {
-            scale = parsePositiveInt(argv[0], "--scale",
-                                     need_value("--scale"));
-        } else if (!std::strcmp(argv[i], "-o")
-                   || !std::strcmp(argv[i], "--out")) {
-            out_path = need_value("--out");
-        } else if (!std::strcmp(argv[i], "--out-dir")) {
-            out_dir = need_value("--out-dir");
-        } else {
-            usage(argv[0]);
-            return 2;
+    try {
+        for (int i = 1; i < argc; ++i) {
+            const char *arg = argv[i];
+            auto is = [arg](const char *flag) {
+                return !std::strcmp(arg, flag);
+            };
+            auto value = [&] { return flagValue(argc, argv, i); };
+            if (is("--workload"))
+                workload = value();
+            else if (is("--asm"))
+                asm_file = value();
+            else if (is("--all"))
+                all = true;
+            else if (is("--scale"))
+                scale = parsePositiveInt(arg, value());
+            else if (is("-o") || is("--out"))
+                out_path = value();
+            else if (is("--out-dir"))
+                out_dir = value();
+            else
+                throw FatalError(std::string("unknown flag ") + arg);
         }
+    } catch (const FatalError &err) {
+        std::fprintf(stderr, "%s\n", err.what());
+        usage(argv[0]);
+        return 2;
     }
 
     const int sources = (workload.empty() ? 0 : 1)
