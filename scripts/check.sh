@@ -50,6 +50,9 @@ cmake --build build-tsan -j --target test_sample
 'SampledRun.*-SampledRun.SpeedupErrorWithinBoundOnEveryKernel'
 
 echo "== tier-1: Address+UB Sanitizer (core, policy, scheduler) =="
+# UBSan recovers and keeps going by default, which would let a report
+# scroll past a passing stage: halt on the first one instead.
+export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 cmake -B build-asan -S . -DVSIM_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j --target \
     test_core_base test_core_vspec test_core_misc test_core_xprod \

@@ -114,69 +114,66 @@ OooCore::broadcast(RsEntry &producer)
 void
 OooCore::applyCompletions()
 {
-    auto it = completions.begin();
-    while (it != completions.end() && it->first <= cycle) {
-        for (const Completion &c : it->second) {
-            RsEntry &e = entry(c.slot);
-            if (!e.busy || e.seq != c.seq || e.nonce != c.nonce
-                || !e.issued || e.executed) {
-                continue; // stale (nullified or squashed meanwhile)
-            }
-            RsCold &ec = cold(c.slot);
-            e.executed = true;
-            ec.execDoneAt = cycle;
-            e.outValue = c.value;
-            e.outDeps.reset();
-            for (const Operand &o : e.src) {
-                if (o.used())
-                    e.outDeps |= o.deps;
-            }
-            // Memory-carried dependences acquired at issue (always
-            // empty under valid-ops memory resolution). The network
-            // may have cleared bits while the access was in flight;
-            // the fold uses the maintained mask, not the snapshot.
-            e.outDeps |= e.memDeps;
-            // The fold introduces no bits the operand-capture and
-            // memDeps sites did not already subscribe, but keeping the
-            // call here makes the invariant independent of that
-            // reasoning.
-            subsIndex.note(e.slot, e.outDeps);
-            e.verifiedAt = std::max(e.verifiedAt, cycle);
-            if (e.inst.isStore()) {
-                e.addrReady = true;
-                e.addrReadyAt = cycle;
-            }
-            if (tracingEnabled)
-                tracer_.note(e.seq, cycle, "W");
-
-            if (e.outDeps.none())
-                noteOutputValid(e, false);
-            broadcast(e);
-
-            if (e.inst.isBranch() && c.nextPc != ec.predNextPc) {
-                // Branch misprediction: squash younger work and
-                // redirect fetch to the computed target. Fetch is back
-                // on the correct path only if the computed target is
-                // architecturally right (it can be wrong when branches
-                // are allowed to resolve with speculative operands).
-                ++stats_.squashes;
-                lastRedirect = RedirectCause::Branch;
-                const bool on_path =
-                    e.traceIndex >= 0
-                    && c.nextPc
-                           == trace.entries[static_cast<std::size_t>(
-                                                e.traceIndex)]
-                                  .nextPc;
-                squashAfter(e.seq, c.nextPc,
-                            on_path ? e.traceIndex + 1 : -1);
-                // Later re-executions (speculative resolution only)
-                // compare against the path actually being fetched.
-                ec.predNextPc = c.nextPc;
-                ec.mispredicted = true;
-            }
+    std::vector<Completion> &due = completionWheel[cycle & wheelMask];
+    for (const Completion &c : due) {
+        RsEntry &e = entry(c.slot);
+        if (!e.busy || e.seq != c.seq || e.nonce != c.nonce
+            || !e.issued || e.executed) {
+            continue; // stale (nullified or squashed meanwhile)
         }
-        it = completions.erase(it);
+        RsCold &ec = cold(c.slot);
+        e.executed = true;
+        ec.execDoneAt = cycle;
+        e.outValue = c.value;
+        e.outDeps.reset();
+        for (const Operand &o : e.src) {
+            if (o.used())
+                e.outDeps |= o.deps;
+        }
+        // Memory-carried dependences acquired at issue (always empty
+        // under valid-ops memory resolution). The network may have
+        // cleared bits while the access was in flight; the fold uses
+        // the maintained mask, not the snapshot.
+        e.outDeps |= e.memDeps;
+        // The fold introduces no bits the operand-capture and memDeps
+        // sites did not already subscribe, but keeping the call here
+        // makes the invariant independent of that reasoning.
+        subsIndex.note(e.slot, e.outDeps);
+        e.verifiedAt = std::max(e.verifiedAt, cycle);
+        if (e.inst.isStore()) {
+            e.addrReady = true;
+            e.addrReadyAt = cycle;
+        }
+        if (tracingEnabled)
+            tracer_.note(e.seq, cycle, "W");
+
+        if (e.outDeps.none())
+            noteOutputValid(e, false);
+        broadcast(e);
+
+        if (e.inst.isBranch() && c.nextPc != ec.predNextPc) {
+            // Branch misprediction: squash younger work and redirect
+            // fetch to the computed target. Fetch is back on the
+            // correct path only if the computed target is
+            // architecturally right (it can be wrong when branches are
+            // allowed to resolve with speculative operands).
+            ++stats_.squashes;
+            lastRedirect = RedirectCause::Branch;
+            const bool on_path =
+                e.traceIndex >= 0
+                && c.nextPc
+                       == trace.entries[static_cast<std::size_t>(
+                                            e.traceIndex)]
+                              .nextPc;
+            squashAfter(e.seq, c.nextPc,
+                        on_path ? e.traceIndex + 1 : -1);
+            // Later re-executions (speculative resolution only)
+            // compare against the path actually being fetched.
+            ec.predNextPc = c.nextPc;
+            ec.mispredicted = true;
+        }
     }
+    due.clear();
 }
 
 // =====================================================================
@@ -390,10 +387,10 @@ OooCore::retireOne()
     if (tracingEnabled)
         tracer_.note(e.seq, cycle, "RT");
 
-    if (e.inst.isMem()) {
-        VSIM_ASSERT(!lsq.empty() && lsq.front() == slot,
-                    "LSQ out of order at retirement");
-        lsq.pop_front();
+    if (e.inst.isStore()) {
+        VSIM_ASSERT(!storeQueue.empty() && storeQueue.front() == slot,
+                    "store queue out of order at retirement");
+        storeQueue.pop_front();
     }
     windowOrder.pop_front();
     freeSlot(slot);

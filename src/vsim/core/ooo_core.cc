@@ -65,8 +65,33 @@ OooCore::OooCore(const assembler::Program &prog,
     bpTrained.assign(trace.entries.size(), false);
 
     windowOrder.reset(cfg.windowSize);
-    lsq.reset(cfg.windowSize);
+    storeQueue.reset(cfg.windowSize);
     subsIndex.reset(cfg.windowSize);
+
+    // Resolve the policy's key for each (typed, speculative) class
+    // once: prio is the select key's top bit, spec the next.
+    for (std::size_t c = 0; c < selectClassKey.size(); ++c) {
+        const SelectKey k = policies.select->key(c >= 2, c % 2 != 0);
+        VSIM_ASSERT((k.prio == 0 || k.prio == 1)
+                        && (k.spec == 0 || k.spec == 1),
+                    "select key out of range");
+        selectClassKey[c] = static_cast<std::uint64_t>(k.prio) << 63
+                            | static_cast<std::uint64_t>(k.spec) << 62;
+    }
+    selectKeys.reserve(static_cast<std::size_t>(cfg.windowSize));
+
+    // The completion wheel spans more cycles than the longest
+    // issue-to-complete latency issueEntry() can schedule.
+    const int max_lat = std::max(
+        {cfg.mulLat, cfg.divLat, cfg.aluLat + cfg.storeForwardLat,
+         cfg.aluLat
+             + std::max({cfg.dcacheHitLat, cfg.l2HitLat,
+                         cfg.l2MissLat})});
+    std::size_t wheel = 1;
+    while (wheel <= static_cast<std::size_t>(max_lat))
+        wheel <<= 1;
+    completionWheel.resize(wheel);
+    wheelMask = wheel - 1;
 
     sched.reset(cfg.windowSize);
     waiters.assign(static_cast<std::size_t>(cfg.windowSize), {});
@@ -240,10 +265,10 @@ OooCore::squashAfter(std::uint64_t seq, std::uint64_t new_fetch_pc,
         freeSlot(slot);
         windowOrder.pop_back();
     }
-    // The LSQ is in program order, so the squashed (freed-above)
-    // entries are exactly its youngest suffix.
-    while (!lsq.empty() && entry(lsq.back()).seq > seq)
-        lsq.pop_back();
+    // The store queue is in program order, so the squashed
+    // (freed-above) stores are exactly its youngest suffix.
+    while (!storeQueue.empty() && entry(storeQueue.back()).seq > seq)
+        storeQueue.pop_back();
     fetchQueue.clear();
     rebuildRegTags();
 
@@ -568,7 +593,7 @@ OooCore::classifyCycle(std::uint64_t retired_delta) const
             e.src[0].value
             + static_cast<std::uint64_t>(
                   static_cast<std::int64_t>(e.inst.imm));
-        if (!loadOrderingSatisfiedAt(e, addr))
+        if (!loadAccess(e, addr).ordered)
             return CpiCat::Memory; // blocked behind older stores
         if (dcachePortsUsed >= cfg.effDcachePorts())
             return CpiCat::Memory; // data-cache ports exhausted

@@ -45,6 +45,7 @@
 #ifndef VSIM_CORE_OOO_CORE_HH
 #define VSIM_CORE_OOO_CORE_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -241,18 +242,27 @@ class OooCore : private SpecHooks
     // ---- backend helpers (ooo_issue.cc / ooo_commit.cc) -----------------
     bool canIssue(const RsEntry &e) const;
     WakeClass classifyWakeup(int slot) const;
-    bool loadOrderingSatisfied(const RsEntry &e) const;
-    bool loadOrderingSatisfiedAt(const RsEntry &e,
-                                 std::uint64_t addr) const;
-    bool loadValue(const RsEntry &e, std::uint64_t &value,
-                   bool &forwarded) const;
-    SpecMask memCarriedDeps(const RsEntry &e) const;
+    /** What a load at one address sees in the store queue now. */
+    struct LoadAccess
+    {
+        /** §2.1 ordering holds: every older store address is known
+         *  and every overlapping store's data is usable. The other
+         *  fields are filled only when this is true. */
+        bool ordered = false;
+        bool forwarded = false;  //!< some byte comes from a store
+        std::uint64_t value = 0; //!< the extended load result
+        SpecMask memDeps; //!< memory-carried deps (spec resolution)
+    };
+    /** One walk over the stores older than @p e, as if it loaded
+     *  from @p addr (the only store-queue walker; ooo_issue.cc). */
+    LoadAccess loadAccess(const RsEntry &e, std::uint64_t addr) const;
     /** Memory ops may resolve with speculative operands (§3.2). */
     bool specMemResolution() const
     {
         return cfg.useValuePrediction && !model.memNeedsValidOps;
     }
-    void issueEntry(RsEntry &e);
+    /** @p load is the issuing load's loadAccess(); null otherwise. */
+    void issueEntry(RsEntry &e, const LoadAccess *load);
     void broadcast(RsEntry &producer);
     void doEqCheck(RsEntry &e);
     bool retireOne();
@@ -350,8 +360,12 @@ class OooCore : private SpecHooks
 
     std::array<int, isa::kNumRegs> regTag; //!< youngest producer slot
 
-    /** LSQ: slots of in-flight memory instructions in program order. */
-    SlotRing lsq;
+    /**
+     * Store queue: slots of the in-flight stores in program order.
+     * Loads never enter it: the one thing that walks it, loadAccess(),
+     * only ever looks at the stores older than a load.
+     */
+    SlotRing storeQueue;
 
     // fetch
     struct FetchedInst
@@ -370,11 +384,32 @@ class OooCore : private SpecHooks
     std::uint64_t fetchResumeAt = 0; //!< stall for icache misses/redirect
     bool fetchSawHalt = false;
 
-    std::map<std::uint64_t, std::vector<Completion>> completions;
+    /**
+     * Completion wheel: the completions due at cycle c wait in
+     * completionWheel[c & wheelMask], in issue order. Sized at
+     * construction above the largest issue-to-complete latency, so a
+     * slot holds a single cycle's completions when it is drained.
+     */
+    std::vector<std::vector<Completion>> completionWheel;
+    std::uint64_t wheelMask = 0;
     EventQueue events;
 
     // ---- event-driven wakeup state ----------------------------------------
     IssueScheduler sched;
+    /**
+     * Selection keys: a candidate's key holds its SelectKey prio in
+     * bit 63 and spec in bit 62, its seq below them and its slot in
+     * the low kSelectSlotBits, so one integer sort yields the §3.5
+     * (prio, spec, seq) order.
+     */
+    static constexpr unsigned kSelectSlotBits = 9;
+    static constexpr unsigned kSelectSeqBits = 62 - kSelectSlotBits;
+    static_assert(kMaxWindow <= (1 << kSelectSlotBits),
+                  "slot does not fit its selection-key field");
+    /** Class bits per (typed, speculative) class, indexed by
+     *  2 * typed + speculative; resolved once from SelectionPolicy. */
+    std::array<std::uint64_t, 4> selectClassKey{};
+    std::vector<std::uint64_t> selectKeys; //!< per-cycle scratch
     /**
      * Broadcast waiter lists: per producer slot, the (consumer slot,
      * operand index) pairs whose operand sits in Invalid state waiting

@@ -276,6 +276,8 @@ OooCore::dispatchStage()
         RsCold &c = cold(slot);
         e.slot = slot;
         e.seq = nextSeq++;
+        VSIM_ASSERT(e.seq >> kSelectSeqBits == 0,
+                    "seq overflows its selection-key field");
         c.pc = f.pc;
         e.inst = f.inst;
         e.traceIndex = f.traceIndex;
@@ -297,8 +299,8 @@ OooCore::dispatchStage()
 
         if (int dest = e.inst.destReg(); dest >= 0)
             regTag[static_cast<std::size_t>(dest)] = slot;
-        if (e.inst.isMem())
-            lsq.push_back(slot);
+        if (e.inst.isStore())
+            storeQueue.push_back(slot);
         windowOrder.push_back(slot);
         touchWakeup(slot);
 

@@ -10,11 +10,15 @@
  *    classifyWakeup() maps the entry onto ready-now / ready-at-a-
  *    known-cycle / parked-until-an-event.
  *
- * Both paths feed the same (prio, spec, seq) sort, where the key comes
- * from the model's SelectionPolicy (§3.5), so runs are bit-identical.
- * Load store-ordering and data-cache-port constraints are evaluated in
- * the selection loop (not in wakeup): a load blocked by them stays a
- * candidate and retries, exactly as the scan behaved.
+ * Both paths feed one integer sort of packed (prio, spec, seq) keys,
+ * where the class part comes from the model's SelectionPolicy (§3.5),
+ * resolved once per core; so runs are bit-identical. A load candidate
+ * then gets one loadAccess() walk over its older stores, which yields
+ * the ordering verdict, whether it forwards (and so whether it needs
+ * a data-cache port), its value and its memory-carried dependences;
+ * issueEntry() consumes that result. Ordering and ports are decided
+ * in the selection loop, not in wakeup: a load blocked by them stays
+ * a candidate and retries, exactly as the scan behaved.
  */
 
 #include "ooo_core.hh"
@@ -27,121 +31,107 @@
 namespace vsim::core
 {
 
-bool
-OooCore::loadOrderingSatisfied(const RsEntry &e) const
+OooCore::LoadAccess
+OooCore::loadAccess(const RsEntry &e, std::uint64_t addr) const
 {
-    return loadOrderingSatisfiedAt(e, e.memAddr);
-}
-
-bool
-OooCore::loadOrderingSatisfiedAt(const RsEntry &e,
-                                 std::uint64_t addr) const
-{
-    // Loads execute only once every preceding store address is known
-    // (§2.1); bytes covered by an older store additionally need the
-    // store's data to be present. Under valid-ops memory resolution
-    // the covering store's data must also be *valid*; with speculative
-    // resolution (memNeedsValidOps=false) a predicted or speculative
-    // value forwards as-is and the load carries the store's dependence
-    // bits in memDeps instead. The address is passed explicitly so the
-    // CPI classifier can evaluate the check without refreshing
-    // e.memAddr (the selection loop passes e.memAddr).
-    for (int slot : lsq) {
-        const RsEntry &s = window[static_cast<std::size_t>(slot)];
-        if (s.seq >= e.seq)
-            break;
-        if (!s.inst.isStore())
-            continue;
-        if (!s.addrReady || s.addrReadyAt > cycle)
-            return false;
-
-        const std::uint64_t lo = std::max(s.memAddr, addr);
-        const std::uint64_t hi =
-            std::min(s.memAddr + static_cast<std::uint64_t>(
-                                     s.inst.memSize()),
-                     addr + static_cast<std::uint64_t>(
-                                e.inst.memSize()));
-        if (lo < hi) {
-            const Operand &data = s.src[0];
-            if (data.readyAt > cycle)
-                return false;
-            if (specMemResolution() ? !data.hasValue()
-                                    : data.state != OperandState::Valid) {
-                return false;
-            }
-        }
-    }
-    return true;
-}
-
-SpecMask
-OooCore::memCarriedDeps(const RsEntry &e) const
-{
-    // The predictions this load's result depends on *through the LSQ*
-    // (speculative memory resolution only). Two channels:
+    // One pass over the older stores, oldest to youngest, answers
+    // everything a load asks of the store queue:
     //
-    //  - disambiguation: the ordering check consulted every older
-    //    store's address, and those addresses may have been computed
-    //    from speculative operands — a mispredicted address re-opens
-    //    the check, so the address operands' dependence bits ride
-    //    along for every older store regardless of overlap (whether
-    //    the store overlaps is itself part of the speculation);
-    //  - forwarding: bytes taken from an overlapping store's data
-    //    operand inherit that operand's dependence bits.
+    //  - ordering (§2.1): the load may execute only once every older
+    //    store address is known; bytes covered by an older store also
+    //    need the store's data. Under valid-ops memory resolution that
+    //    data must be *valid*; with speculative resolution
+    //    (memNeedsValidOps=false) a predicted or speculative value
+    //    forwards as-is and its dependence bits ride along in memDeps;
+    //  - forwarding: the youngest older store covering a byte supplies
+    //    it, memory supplies the rest;
+    //  - memory-carried dependences (speculative resolution only): the
+    //    ordering check consulted every older store's address, which
+    //    may have been computed from speculative operands, so the
+    //    address operands' bits ride along for every older store
+    //    whether or not it overlaps; bytes taken from a store's data
+    //    inherit the data operand's bits. The load's own address base
+    //    is covered by its ordinary operand masks.
     //
-    // Register-carried dependences (the load's own address base) are
-    // covered by the ordinary operand masks and are not duplicated
-    // here.
-    SpecMask deps;
-    for (int slot : lsq) {
-        const RsEntry &s = window[static_cast<std::size_t>(slot)];
-        if (s.seq >= e.seq)
-            break;
-        if (!s.inst.isStore() || !s.addrReady)
-            continue;
-        if (s.src[1].used())
-            deps |= s.src[1].deps;
-        const std::uint64_t lo = std::max(s.memAddr, e.memAddr);
-        const std::uint64_t hi =
-            std::min(s.memAddr + static_cast<std::uint64_t>(
-                                     s.inst.memSize()),
-                     e.memAddr + static_cast<std::uint64_t>(
-                                     e.inst.memSize()));
-        if (lo < hi && s.src[0].used())
-            deps |= s.src[0].deps;
-    }
-    return deps;
-}
-
-bool
-OooCore::loadValue(const RsEntry &e, std::uint64_t &value,
-                   bool &forwarded) const
-{
+    // A failed ordering check returns at once, with nothing else
+    // filled in.
+    LoadAccess a;
+    const bool spec_mem = specMemResolution();
     const int size = e.inst.memSize();
-    forwarded = false;
-    std::uint64_t raw = 0;
-    for (int i = 0; i < size; ++i) {
-        const std::uint64_t addr = e.memAddr + static_cast<unsigned>(i);
-        std::uint8_t byte = memory.readByte(addr);
-        // Youngest older store covering this byte wins.
-        for (int slot : lsq) {
-            const RsEntry &s = window[static_cast<std::size_t>(slot)];
-            if (s.seq >= e.seq)
-                break;
-            if (!s.inst.isStore() || !s.addrReady)
-                continue;
-            if (addr >= s.memAddr
-                && addr < s.memAddr + static_cast<std::uint64_t>(
-                              s.inst.memSize())) {
-                byte = static_cast<std::uint8_t>(
-                    s.src[0].value >> (8 * (addr - s.memAddr)));
-                forwarded = true;
+    const std::uint64_t end = addr + static_cast<std::uint64_t>(size);
+    const bool wraps = end <= addr;
+    std::uint64_t fwd = 0;  // forwarded bytes, little-endian
+    unsigned covered = 0;   // bit i: load byte i came from a store
+    for (int slot : storeQueue) {
+        const RsEntry &s = window[static_cast<std::size_t>(slot)];
+        if (s.seq >= e.seq)
+            break;
+        if (!s.addrReady || s.addrReadyAt > cycle)
+            return a;
+
+        const int s_size = s.inst.memSize();
+        const std::uint64_t s_end =
+            s.memAddr + static_cast<std::uint64_t>(s_size);
+        const Operand &data = s.src[0];
+        const std::uint64_t lo = std::max(s.memAddr, addr);
+        const std::uint64_t hi = std::min(s_end, end);
+        const bool overlaps = lo < hi;
+        if (overlaps) {
+            if (data.readyAt > cycle)
+                return a;
+            if (spec_mem ? !data.hasValue()
+                         : data.state != OperandState::Valid) {
+                return a;
             }
         }
-        raw |= static_cast<std::uint64_t>(byte) << (8 * i);
+        if (spec_mem) {
+            if (s.src[1].used())
+                a.memDeps |= s.src[1].deps;
+            if (overlaps && data.used())
+                a.memDeps |= data.deps;
+        }
+
+        if (!wraps && s_end > s.memAddr) {
+            // Neither range wraps past 2^64: the covered bytes are
+            // exactly [lo, hi).
+            if (!overlaps)
+                continue;
+            const unsigned n = static_cast<unsigned>(hi - lo);
+            const unsigned dst = static_cast<unsigned>(lo - addr);
+            const std::uint64_t mask =
+                (n == 8 ? ~0ull : (1ull << (8 * n)) - 1) << (8 * dst);
+            const std::uint64_t bytes =
+                (data.value >> (8 * (lo - s.memAddr))) << (8 * dst);
+            fwd = (fwd & ~mask) | (bytes & mask);
+            covered |= ((1u << n) - 1) << dst;
+            continue;
+        }
+        // A wrapping range: test each byte with the same modular
+        // arithmetic as the per-byte definition.
+        for (int i = 0; i < size; ++i) {
+            const std::uint64_t b = addr + static_cast<unsigned>(i);
+            if (b >= s.memAddr && b < s_end) {
+                const unsigned sh = 8 * static_cast<unsigned>(i);
+                fwd = (fwd & ~(0xffull << sh))
+                      | ((data.value >> (8 * (b - s.memAddr))) & 0xff)
+                            << sh;
+                covered |= 1u << i;
+            }
+        }
     }
-    value = arch::loadExtend(e.inst, raw);
-    return true;
+
+    a.ordered = true;
+    a.forwarded = covered != 0;
+    std::uint64_t raw = fwd;
+    for (int i = 0; i < size; ++i) {
+        if (!(covered & (1u << i))) {
+            raw |= static_cast<std::uint64_t>(memory.readByte(
+                       addr + static_cast<unsigned>(i)))
+                   << (8 * i);
+        }
+    }
+    a.value = arch::loadExtend(e.inst, raw);
+    return a;
 }
 
 bool
@@ -252,7 +242,7 @@ OooCore::classifyWakeup(int slot) const
 }
 
 void
-OooCore::issueEntry(RsEntry &e)
+OooCore::issueEntry(RsEntry &e, const LoadAccess *load)
 {
     // Gather register-role values from the operand slots (the operand
     // order mirrors Inst::srcReg1/srcReg2).
@@ -298,19 +288,16 @@ OooCore::issueEntry(RsEntry &e)
         e.memAddr = out.memAddr;
         break;
       case isa::ExecClass::Load: {
+        VSIM_DEBUG_ASSERT(load && load->ordered,
+                          "load issued without an ordered store-queue walk");
         e.memAddr = out.memAddr;
-        e.memDeps.reset();
-        if (specMemResolution()) {
-            e.memDeps = memCarriedDeps(e);
-            // Memory-carried mask-gaining site: the invalidation sweep
-            // must find this load through the subscriber lists.
+        e.memDeps = load->memDeps;
+        // Memory-carried mask-gaining site: the invalidation sweep
+        // must find this load through the subscriber lists.
+        if (specMemResolution())
             subsIndex.note(e.slot, e.memDeps);
-        }
-        bool forwarded = false;
-        std::uint64_t value = 0;
-        loadValue(e, value, forwarded);
-        c.value = value;
-        if (forwarded) {
+        c.value = load->value;
+        if (load->forwarded) {
             lat = cfg.aluLat + cfg.storeForwardLat;
             ++stats_.loadsForwarded;
         } else {
@@ -330,7 +317,10 @@ OooCore::issueEntry(RsEntry &e)
             invalToReissueHist->sample(cycle - ec.nullifiedAt);
     }
     c.nonce = e.nonce;
-    completions[cycle + static_cast<std::uint64_t>(lat)].push_back(c);
+    VSIM_ASSERT(lat > 0 && static_cast<std::uint64_t>(lat) <= wheelMask,
+                "latency ", lat, " outside the completion wheel");
+    completionWheel[(cycle + static_cast<std::uint64_t>(lat)) & wheelMask]
+        .push_back(c);
     ++stats_.issued;
 
     if (readyListScheduler())
@@ -348,16 +338,10 @@ OooCore::issueStage()
     if (halted)
         return;
 
-    struct Candidate
-    {
-        int prio;   //!< 0 issues first (SelectKey)
-        int spec;   //!< tie break within a prio class
-        std::uint64_t seq;
-        int slot;
-    };
-    std::vector<Candidate> cands;
-    cands.reserve(static_cast<std::size_t>(liveEntries));
-
+    // One packed key per candidate (see selectClassKey): ascending
+    // order is (prio, spec, seq) order, and the slot rides in the low
+    // bits.
+    selectKeys.clear();
     const auto addCandidate = [&](int slot) {
         const RsEntry &e = entry(slot);
         bool spec = false;
@@ -366,8 +350,9 @@ OooCore::issueStage()
                 spec = true;
         }
         const bool typed = e.inst.isBranch() || e.inst.isLoad();
-        const SelectKey k = policies.select->key(typed, spec);
-        cands.push_back({k.prio, k.spec, e.seq, slot});
+        selectKeys.push_back(selectClassKey[2 * typed + spec]
+                             | e.seq << kSelectSlotBits
+                             | static_cast<std::uint64_t>(slot));
     };
 
     if (readyListScheduler()) {
@@ -386,40 +371,32 @@ OooCore::issueStage()
         }
     }
 
-    std::sort(cands.begin(), cands.end(),
-              [](const Candidate &a, const Candidate &b) {
-                  if (a.prio != b.prio)
-                      return a.prio < b.prio;
-                  if (a.spec != b.spec)
-                      return a.spec < b.spec;
-                  return a.seq < b.seq;
-              });
+    std::sort(selectKeys.begin(), selectKeys.end());
 
     int issued = 0;
-    for (const Candidate &cand : cands) {
+    for (const std::uint64_t key : selectKeys) {
         if (issued >= cfg.issueWidth)
             break;
-        RsEntry &e = entry(cand.slot);
+        RsEntry &e = entry(static_cast<int>(
+            key & ((1u << kSelectSlotBits) - 1)));
         if (e.inst.isLoad()) {
-            // Effective address needed for the ordering check; compute
-            // it from the base operand (cheap, pure).
-            const Operand &base = e.src[0];
-            e.memAddr =
-                base.value
-                + static_cast<std::uint64_t>(
-                      static_cast<std::int64_t>(e.inst.imm));
-            if (!loadOrderingSatisfied(e))
+            // The effective address comes from the base operand
+            // (cheap, pure); issueEntry recomputes the same value.
+            const LoadAccess load = loadAccess(
+                e, e.src[0].value
+                       + static_cast<std::uint64_t>(
+                           static_cast<std::int64_t>(e.inst.imm)));
+            if (!load.ordered)
                 continue;
             // Loads that cannot forward need a data-cache port.
-            bool would_forward = false;
-            std::uint64_t dummy;
-            loadValue(e, dummy, would_forward);
-            if (!would_forward
+            if (!load.forwarded
                 && dcachePortsUsed >= cfg.effDcachePorts()) {
                 continue;
             }
+            issueEntry(e, &load);
+        } else {
+            issueEntry(e, nullptr);
         }
-        issueEntry(e);
         ++issued;
     }
 }

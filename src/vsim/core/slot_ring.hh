@@ -1,7 +1,7 @@
 /**
  * @file
  * Contiguous circular buffer of window slot indices. The program-order
- * list (windowOrder) and the LSQ are FIFO-with-suffix-squash
+ * list (windowOrder) and the store queue are FIFO-with-suffix-squash
  * structures: slots enter at the back at dispatch, leave at the front
  * at retire, and a squash pops the youngest suffix. std::deque paid a
  * chunk-map indirection on every sweep over them; this ring keeps the

@@ -8,7 +8,7 @@
 namespace vsim::isa
 {
 
-namespace
+namespace detail
 {
 
 using enum Format;
@@ -67,6 +67,11 @@ constexpr std::array<OpInfo, kNumOps> kOpTable = {{
     {"puti",  F_RRI,  System, false, false, false, true},
 }};
 
+} // namespace detail
+
+namespace
+{
+
 constexpr const char *kAbiNames[kNumRegs] = {
     "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2",
     "s0",   "s1", "a0", "a1", "a2", "a3", "a4", "a5",
@@ -83,26 +88,6 @@ signExtend(std::uint32_t value, int bits)
 }
 
 } // namespace
-
-const OpInfo &
-opInfo(Op op)
-{
-    const auto idx = static_cast<std::size_t>(op);
-    VSIM_ASSERT(idx < kOpTable.size(), "bad opcode ", idx);
-    return kOpTable[idx];
-}
-
-int
-Inst::memSize() const
-{
-    switch (op) {
-      case Op::LB: case Op::LBU: case Op::SB: return 1;
-      case Op::LH: case Op::LHU: case Op::SH: return 2;
-      case Op::LW: case Op::LWU: case Op::SW: return 4;
-      case Op::LD: case Op::SD: return 8;
-      default: return 0;
-    }
-}
 
 std::uint32_t
 encode(const Inst &inst)

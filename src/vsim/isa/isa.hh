@@ -19,9 +19,13 @@
 #ifndef VSIM_ISA_ISA_HH
 #define VSIM_ISA_ISA_HH
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+
+#include "vsim/base/logging.hh"
 
 namespace vsim::isa
 {
@@ -88,8 +92,23 @@ struct OpInfo
     bool readsRa;    //!< reads ra as a source (stores, branches, sys)
 };
 
-/** Look up the static properties of @p op. */
-const OpInfo &opInfo(Op op);
+namespace detail
+{
+/** Per-opcode properties, indexed by Op (defined in isa.cc). */
+extern const std::array<OpInfo, kNumOps> kOpTable;
+} // namespace detail
+
+/**
+ * Look up the static properties of @p op. Inline: the class
+ * predicates below sit on the core's hottest loops.
+ */
+inline const OpInfo &
+opInfo(Op op)
+{
+    const auto idx = static_cast<std::size_t>(op);
+    VSIM_ASSERT(idx < detail::kOpTable.size(), "bad opcode ", idx);
+    return detail::kOpTable[idx];
+}
 
 /** Decoded instruction. */
 struct Inst
@@ -151,7 +170,17 @@ struct Inst
     }
 
     /** Access size in bytes for memory ops; 0 otherwise. */
-    int memSize() const;
+    int
+    memSize() const
+    {
+        switch (op) {
+          case Op::LB: case Op::LBU: case Op::SB: return 1;
+          case Op::LH: case Op::LHU: case Op::SH: return 2;
+          case Op::LW: case Op::LWU: case Op::SW: return 4;
+          case Op::LD: case Op::SD: return 8;
+          default: return 0;
+        }
+    }
 
     bool operator==(const Inst &other) const = default;
 };

@@ -216,6 +216,137 @@ TEST(Base, PartialStoreOverlapComposedCorrectly)
     EXPECT_EQ(out.exitCode, 0xffu);
 }
 
+// ---- store-to-load forwarding kernels --------------------------------
+
+/**
+ * Run a forwarding kernel on the base machine and on value-predicting
+ * machines (every prediction confident, so store addresses and data
+ * are speculated too) with valid-ops and with speculative memory
+ * resolution; each at windows 16 and 256 under both wakeup
+ * schedulers. The exit code is the kernel's checksum, the in-core
+ * retire check against the functional trace is the oracle, and both
+ * schedulers must forward the same loads.
+ * @return loadsForwarded of the base machine at window 256.
+ */
+std::uint64_t
+checkForwardingKernel(const std::string &body, std::uint64_t expected)
+{
+    // The leading divide holds retirement, so every store is still in
+    // flight when the loads behind it issue.
+    const assembler::Program prog = assembler::assemble(R"(
+        .data
+    buf: .dword 0x8877665544332211
+         .dword 0x1111111111111111
+        .text
+        li t4, 7
+        li t5, 700
+        div t6, t5, t4
+        la t0, buf
+    )" + body);
+    std::uint64_t base_forwarded = 0;
+    const char *machines[] = {"base", "vp-valid-mem", "vp-spec-mem"};
+    for (int m = 0; m < 3; ++m) {
+        for (const int window : {16, 256}) {
+            std::uint64_t forwarded[2] = {};
+            for (const core::SchedulerKind sk :
+                 {core::SchedulerKind::ReadyList,
+                  core::SchedulerKind::Scan}) {
+                CoreConfig cfg;
+                cfg.windowSize = window;
+                cfg.scheduler = sk;
+                cfg.useValuePrediction = m > 0;
+                cfg.confidence = core::ConfidenceKind::Always;
+                cfg.model.memNeedsValidOps = m < 2;
+                const SimOutcome out = OooCore(prog, cfg).run();
+                const std::string what =
+                    std::string(machines[m]) + " window "
+                    + std::to_string(window)
+                    + (sk == core::SchedulerKind::Scan ? " scan"
+                                                       : " ready-list");
+                EXPECT_TRUE(out.halted) << what;
+                EXPECT_EQ(out.exitCode, expected) << what;
+                forwarded[sk == core::SchedulerKind::Scan] =
+                    out.stats.loadsForwarded;
+            }
+            EXPECT_EQ(forwarded[0], forwarded[1])
+                << machines[m] << " window " << window;
+            if (m == 0 && window == 256)
+                base_forwarded = forwarded[0];
+        }
+    }
+    return base_forwarded;
+}
+
+TEST(Forwarding, NarrowStoresUnderWideLoad)
+{
+    // sb, sh and sw cover bytes 0, 2-3 and 4-7; byte 1 is memory's.
+    EXPECT_EQ(checkForwardingKernel(R"(
+        li t1, 0xa1
+        sb t1, 0(t0)
+        li t1, 0xb2c3
+        sh t1, 2(t0)
+        li t1, 0x54e5f607
+        sw t1, 4(t0)
+        ld a0, 0(t0)
+        halt a0
+    )", 0x54e5f607b2c322a1ull), 1u);
+}
+
+TEST(Forwarding, YoungestOverlappingStoreWinsPerByte)
+{
+    // The sw overwrites bytes 2-5 of the older sd.
+    EXPECT_EQ(checkForwardingKernel(R"(
+        li t1, 0x0102030405060708
+        sd t1, 0(t0)
+        li t2, 0x2abbccdd
+        sw t2, 2(t0)
+        ld a0, 0(t0)
+        halt a0
+    )", 0x01022abbccdd0708ull), 1u);
+}
+
+TEST(Forwarding, LoadStraddlesStoreAndMemory)
+{
+    // Bytes 2-3 come from memory, bytes 4-5 from the store.
+    EXPECT_EQ(checkForwardingKernel(R"(
+        li t1, 0x7f5e
+        sh t1, 4(t0)
+        lw a0, 2(t0)
+        halt a0
+    )", 0x7f5e4433ull), 1u);
+}
+
+TEST(Forwarding, AdjacentStoresDoNotForward)
+{
+    // Stores end right below and start right above the loaded word.
+    EXPECT_EQ(checkForwardingKernel(R"(
+        li t1, -1
+        sw t1, 0(t0)
+        sb t1, 8(t0)
+        lw a0, 4(t0)
+        halt a0
+    )", 0xffffffff88776655ull), 0u);
+}
+
+TEST(Forwarding, SignExtendsForwardedBytes)
+{
+    // lb/lh/lw of forwarded negative values: -128 - 32767 - 2.
+    EXPECT_EQ(checkForwardingKernel(R"(
+        li t1, 0x80
+        sb t1, 0(t0)
+        li t2, 0x8001
+        sh t2, 2(t0)
+        li t3, -2
+        sw t3, 4(t0)
+        lb a0, 0(t0)
+        lh a1, 2(t0)
+        lw a2, 4(t0)
+        add a0, a0, a1
+        add a0, a0, a2
+        halt a0
+    )", static_cast<std::uint64_t>(-128 - 32767 - 2)), 3u);
+}
+
 TEST(Base, LoadsWaitForStoreAddresses)
 {
     // The store's address depends on a long-latency divide; the

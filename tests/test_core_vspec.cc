@@ -598,6 +598,67 @@ TEST(SpecMem, SpecAndValidBitIdenticalWithoutPredictions)
     EXPECT_GT(valid.stats.loadsForwarded, 0u); // forwarding exercised
 }
 
+TEST(SpecMem, InvalidatedStoreAddressReblocksYoungerLoad)
+{
+    // The store's address comes from a value force-predicted wrong
+    // (0 instead of 8), so it first resolves to buf+0 and the younger
+    // load of buf+8 issues past it to memory. The invalidation resets
+    // the store's address: the reissued load must wait behind the
+    // store again until it reissues at buf+8, then forward 42. A load
+    // that went past the store early would read memory's 0, which the
+    // in-core retire check rejects.
+    const Program prog = assembler::assemble(R"(
+        .data
+    buf: .dword 0, 0
+        .text
+        la s0, buf
+        li t0, 700
+        li t1, 70
+        div t2, t0, t1      # slow producer: t2 = 10
+    p:  addi t3, t2, -2     # 8, force-predicted 0
+        slli t3, t3, 1
+        srai t3, t3, 1      # a short chain ahead of the address
+        add t4, s0, t3
+        li t5, 42
+        sd t5, 0(t4)        # store address from the predicted value
+        ld a0, 8(s0)        # blocked behind the store, then past it
+        halt a0
+    )");
+    for (const core::InvalScheme is :
+         {core::InvalScheme::Flattened, core::InvalScheme::Hierarchical,
+          core::InvalScheme::Complete}) {
+        for (const core::SchedulerKind sk :
+             {core::SchedulerKind::ReadyList, core::SchedulerKind::Scan}) {
+            for (const int window : {16, 256}) {
+                SpecModel model = SpecModel::greatModel();
+                model.memNeedsValidOps = false;
+                model.invalScheme = is;
+                CoreConfig cfg;
+                cfg.scheduler = sk;
+                cfg.windowSize = window;
+                const SimOutcome out = runForced(
+                    prog, model, {{prog.symbols.at("p"), 0}}, cfg);
+                const std::string what =
+                    "scheme " + std::to_string(static_cast<int>(is))
+                    + " scheduler "
+                    + std::to_string(static_cast<int>(sk)) + " window "
+                    + std::to_string(window);
+                EXPECT_TRUE(out.halted) << what;
+                EXPECT_EQ(out.exitCode, 42u) << what;
+                EXPECT_EQ(out.stats.invalidateEvents, 1u) << what;
+                // The final load forwarded from the reissued store.
+                EXPECT_GE(out.stats.loadsForwarded, 1u) << what;
+                if (is == core::InvalScheme::Complete) {
+                    EXPECT_GE(out.stats.squashes, 1u) << what;
+                } else {
+                    // The store and the load both reissued.
+                    EXPECT_GE(out.stats.reissues, 2u) << what;
+                }
+            }
+        }
+    }
+}
+
 TEST(SpecMem, SpecResolutionNoSlowerThanValidOnForwardedChain)
 {
     // With an always-correct forced prediction feeding a store -> load
