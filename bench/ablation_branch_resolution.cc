@@ -14,6 +14,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 
@@ -21,62 +22,32 @@ int
 main(int argc, char **argv)
 {
     using namespace vsim;
-    using core::ConfidenceKind;
-    using core::SpecModel;
-    using core::UpdateTiming;
 
     const bench::Options opt = bench::parseOptions(argc, argv);
-    const sim::MachineConfig m{8, 48};
-    const ConfidenceKind confs[] = {ConfidenceKind::Real,
-                                    ConfidenceKind::Oracle};
+    const bench::SweepResults sweep("branch-resolution", opt);
 
-    bench::Sweep sweep(opt);
-    const auto wnames = bench::workloadNames(opt);
-    std::vector<int> base_idx;
-    // valid_idx/spec_idx[conf][workload]
-    std::vector<std::vector<int>> valid_idx(2), spec_idx(2);
-    for (const std::string &wname : wnames)
-        base_idx.push_back(sweep.addBase(m, wname));
-    for (std::size_t c = 0; c < 2; ++c) {
-        for (const std::string &wname : wnames) {
-            SpecModel valid_model = SpecModel::greatModel();
-            valid_idx[c].push_back(sweep.add(
-                m, wname,
-                sim::vpConfig(m, valid_model, confs[c],
-                              UpdateTiming::Immediate)));
-
-            SpecModel spec_model = SpecModel::greatModel();
-            spec_model.branchNeedsValidOps = false;
-            spec_idx[c].push_back(sweep.add(
-                m, wname,
-                sim::vpConfig(m, spec_model, confs[c],
-                              UpdateTiming::Immediate),
-                m.label() + " spec-branch"));
-        }
-    }
-    sweep.run();
-
-    for (std::size_t c = 0; c < 2; ++c) {
+    // (confidence, valid-operand cell label)
+    for (const auto &[conf, valid] :
+         {std::pair{"real", "8/48 great I/R"},
+          std::pair{"oracle", "8/48 great I/O"}}) {
         std::printf("== Ablation: branch resolution policy (8/48, "
                     "great, %s confidence, immediate update) ==\n\n",
-                    confs[c] == ConfidenceKind::Real ? "real"
-                                                     : "oracle");
+                    conf);
+        const std::string spec = std::string(valid) + " spec-branch";
         TextTable table;
         table.setHeader({"workload", "valid-only", "speculative",
                          "squashes(valid)", "squashes(spec)"});
 
         std::vector<double> sp_valid, sp_spec;
-        for (std::size_t w = 0; w < wnames.size(); ++w) {
-            const auto &vr = sweep.at(valid_idx[c][w]);
-            const auto &sr = sweep.at(spec_idx[c][w]);
-            const double v = sweep.speedup(base_idx[w], valid_idx[c][w]);
-            const double s = sweep.speedup(base_idx[w], spec_idx[c][w]);
+        for (const std::string &wname : sim::sweepWorkloads(opt.quick)) {
+            const double v = sweep.speedup("8/48 base", valid, wname);
+            const double s = sweep.speedup("8/48 base", spec, wname);
             sp_valid.push_back(v);
             sp_spec.push_back(s);
-            table.addRow({wnames[w], TextTable::fmt(v, 3),
-                          TextTable::fmt(s, 3),
-                          std::to_string(vr.stats.squashes),
-                          std::to_string(sr.stats.squashes)});
+            table.addRow(
+                {wname, TextTable::fmt(v, 3), TextTable::fmt(s, 3),
+                 std::to_string(sweep.at(valid, wname).stats.squashes),
+                 std::to_string(sweep.at(spec, wname).stats.squashes)});
         }
         table.addRow({"(hmean)", TextTable::fmt(harmonicMean(sp_valid), 3),
                       TextTable::fmt(harmonicMean(sp_spec), 3), "", ""});

@@ -18,49 +18,20 @@ int
 main(int argc, char **argv)
 {
     using namespace vsim;
-    using core::ConfidenceKind;
-    using core::CoreConfig;
-    using core::SpecModel;
-    using core::UpdateTiming;
 
     const bench::Options opt = bench::parseOptions(argc, argv);
-    const sim::MachineConfig m{8, 48};
+    const bench::SweepResults sweep("confidence", opt);
 
-    struct Variant
-    {
-        const char *name;
-        ConfidenceKind kind;
-        int bits;
-        int threshold; //!< -1 = saturated only
+    // (row name, sweep cell label)
+    const std::pair<const char *, const char *> variants[] = {
+        {"ctr-1bit", "8/48 ctr-1bit"},
+        {"ctr-2bit", "8/48 ctr-2bit"},
+        {"ctr-3bit (paper)", "8/48 ctr-3bit"},
+        {"ctr-4bit", "8/48 ctr-4bit"},
+        {"ctr-3bit thr=4", "8/48 ctr-3bit-thr4"},
+        {"always", "8/48 always"},
+        {"oracle", "8/48 oracle"},
     };
-    const std::vector<Variant> variants = {
-        {"ctr-1bit", ConfidenceKind::Real, 1, -1},
-        {"ctr-2bit", ConfidenceKind::Real, 2, -1},
-        {"ctr-3bit (paper)", ConfidenceKind::Real, 3, -1},
-        {"ctr-4bit", ConfidenceKind::Real, 4, -1},
-        {"ctr-3bit thr=4", ConfidenceKind::Real, 3, 4},
-        {"always", ConfidenceKind::Always, 3, -1},
-        {"oracle", ConfidenceKind::Oracle, 3, -1},
-    };
-
-    bench::Sweep sweep(opt);
-    std::vector<int> base_idx;
-    std::vector<std::vector<int>> vp_idx(variants.size());
-    for (const std::string &wname : bench::workloadNames(opt))
-        base_idx.push_back(sweep.addBase(m, wname));
-    for (std::size_t v = 0; v < variants.size(); ++v) {
-        for (const std::string &wname : bench::workloadNames(opt)) {
-            CoreConfig cfg =
-                sim::vpConfig(m, SpecModel::greatModel(),
-                              variants[v].kind, UpdateTiming::Delayed);
-            cfg.confidenceBits = variants[v].bits;
-            cfg.confidenceThreshold = variants[v].threshold;
-            vp_idx[v].push_back(
-                sweep.add(m, wname, cfg,
-                          m.label() + " " + variants[v].name));
-        }
-    }
-    sweep.run();
 
     std::printf("== Ablation: confidence estimation (8/48, great, "
                 "delayed update) ==\n\n");
@@ -68,17 +39,16 @@ main(int argc, char **argv)
     table.setHeader({"confidence", "hmean speedup", "CH %", "CL %",
                      "IH %"});
 
-    for (std::size_t v = 0; v < variants.size(); ++v) {
+    for (const auto &[name, label] : variants) {
         std::vector<double> speedups, ch, cl, ih;
-        for (std::size_t w = 0; w < base_idx.size(); ++w) {
-            const auto &vp = sweep.at(vp_idx[v][w]);
-            speedups.push_back(sweep.speedup(base_idx[w], vp_idx[v][w]));
-            ch.push_back(bench::pct(vp.stats.vpCH, vp.stats.vpEligible));
-            cl.push_back(bench::pct(vp.stats.vpCL, vp.stats.vpEligible));
-            ih.push_back(bench::pct(vp.stats.vpIH, vp.stats.vpEligible));
+        for (const std::string &wname : sim::sweepWorkloads(opt.quick)) {
+            const auto &s = sweep.at(label, wname).stats;
+            speedups.push_back(sweep.speedup("8/48 base", label, wname));
+            ch.push_back(bench::pct(s.vpCH, s.vpEligible));
+            cl.push_back(bench::pct(s.vpCL, s.vpEligible));
+            ih.push_back(bench::pct(s.vpIH, s.vpEligible));
         }
-        table.addRow({variants[v].name,
-                      TextTable::fmt(harmonicMean(speedups), 3),
+        table.addRow({name, TextTable::fmt(harmonicMean(speedups), 3),
                       TextTable::fmt(arithmeticMean(ch), 1),
                       TextTable::fmt(arithmeticMean(cl), 1),
                       TextTable::fmt(arithmeticMean(ih), 2)});

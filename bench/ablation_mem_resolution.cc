@@ -18,6 +18,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 
@@ -25,64 +26,34 @@ int
 main(int argc, char **argv)
 {
     using namespace vsim;
-    using core::ConfidenceKind;
-    using core::SpecModel;
-    using core::UpdateTiming;
 
     const bench::Options opt = bench::parseOptions(argc, argv);
-    const sim::MachineConfig m{8, 48};
-    const char *const models[] = {"super", "great", "good"};
+    const bench::SweepResults sweep("mem-resolution", opt);
 
-    bench::Sweep sweep(opt);
-    const auto wnames = bench::workloadNames(opt);
-    std::vector<int> base_idx;
-    // valid_idx/spec_idx[model][workload]
-    std::vector<std::vector<int>> valid_idx(3), spec_idx(3);
-    for (const std::string &wname : wnames)
-        base_idx.push_back(sweep.addBase(m, wname));
-    for (std::size_t mi = 0; mi < 3; ++mi) {
-        for (const std::string &wname : wnames) {
-            const SpecModel valid_model = SpecModel::byName(models[mi]);
-            valid_idx[mi].push_back(sweep.add(
-                m, wname,
-                sim::vpConfig(m, valid_model, ConfidenceKind::Real,
-                              UpdateTiming::Delayed)));
-
-            SpecModel spec_model = SpecModel::byName(models[mi]);
-            spec_model.memNeedsValidOps = false;
-            spec_idx[mi].push_back(sweep.add(
-                m, wname,
-                sim::vpConfig(m, spec_model, ConfidenceKind::Real,
-                              UpdateTiming::Delayed),
-                m.label() + " spec-mem"));
-        }
-    }
-    sweep.run();
-
-    for (std::size_t mi = 0; mi < 3; ++mi) {
+    for (const char *model : {"super", "great", "good"}) {
         std::printf("== Ablation: memory resolution policy (8/48, %s, "
                     "real confidence, delayed update) ==\n\n",
-                    models[mi]);
+                    model);
+        const std::string valid = std::string("8/48 ") + model + " D/R";
+        const std::string spec = valid + " spec-mem";
         TextTable table;
         table.setHeader({"workload", "valid-ops", "spec-mem",
                          "nullified(valid)", "nullified(spec)",
                          "forwarded(spec)"});
 
         std::vector<double> sp_valid, sp_spec;
-        for (std::size_t w = 0; w < wnames.size(); ++w) {
-            const auto &vr = sweep.at(valid_idx[mi][w]);
-            const auto &sr = sweep.at(spec_idx[mi][w]);
-            const double v =
-                sweep.speedup(base_idx[w], valid_idx[mi][w]);
-            const double s =
-                sweep.speedup(base_idx[w], spec_idx[mi][w]);
+        for (const std::string &wname : sim::sweepWorkloads(opt.quick)) {
+            const auto &vs = sweep.at(valid, wname).stats;
+            const auto &ss = sweep.at(spec, wname).stats;
+            const double v = sweep.speedup("8/48 base", valid, wname);
+            const double s = sweep.speedup("8/48 base", spec, wname);
             sp_valid.push_back(v);
             sp_spec.push_back(s);
-            table.addRow({wnames[w], TextTable::fmt(v, 3),
+            table.addRow({wname, TextTable::fmt(v, 3),
                           TextTable::fmt(s, 3),
-                          std::to_string(vr.stats.nullifications),
-                          std::to_string(sr.stats.nullifications),
-                          std::to_string(sr.stats.loadsForwarded)});
+                          std::to_string(vs.nullifications),
+                          std::to_string(ss.nullifications),
+                          std::to_string(ss.loadsForwarded)});
         }
         table.addRow({"(hmean)",
                       TextTable::fmt(harmonicMean(sp_valid), 3),

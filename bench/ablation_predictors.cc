@@ -8,6 +8,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 
@@ -15,49 +16,24 @@ int
 main(int argc, char **argv)
 {
     using namespace vsim;
-    using core::ConfidenceKind;
-    using core::CoreConfig;
-    using core::SpecModel;
-    using core::UpdateTiming;
 
     const bench::Options opt = bench::parseOptions(argc, argv);
-    const sim::MachineConfig m{8, 48};
-    const std::vector<const char *> preds = {"fcm", "last-value",
-                                             "stride", "hybrid"};
-
-    bench::Sweep sweep(opt);
-    std::vector<int> base_idx;
-    std::vector<std::vector<int>> vp_idx(preds.size());
-    for (const std::string &wname : bench::workloadNames(opt))
-        base_idx.push_back(sweep.addBase(m, wname));
-    for (std::size_t p = 0; p < preds.size(); ++p) {
-        for (const std::string &wname : bench::workloadNames(opt)) {
-            CoreConfig cfg =
-                sim::vpConfig(m, SpecModel::greatModel(),
-                              ConfidenceKind::Oracle,
-                              UpdateTiming::Immediate);
-            cfg.valuePredictor = preds[p];
-            vp_idx[p].push_back(
-                sweep.add(m, wname, cfg,
-                          m.label() + " " + std::string(preds[p])));
-        }
-    }
-    sweep.run();
+    const bench::SweepResults sweep("predictors", opt);
 
     std::printf("== Ablation: value predictor (8/48, great, oracle "
                 "confidence, immediate update) ==\n\n");
     TextTable table;
     table.setHeader({"predictor", "hmean speedup", "mean accuracy %"});
 
-    for (std::size_t p = 0; p < preds.size(); ++p) {
+    for (const char *pred : {"fcm", "last-value", "stride", "hybrid"}) {
+        const std::string label = std::string("8/48 ") + pred;
         std::vector<double> speedups, accs;
-        for (std::size_t w = 0; w < base_idx.size(); ++w) {
-            const auto &vp = sweep.at(vp_idx[p][w]);
-            speedups.push_back(sweep.speedup(base_idx[w], vp_idx[p][w]));
-            accs.push_back(100.0 * vp.stats.predictionAccuracy());
+        for (const std::string &wname : sim::sweepWorkloads(opt.quick)) {
+            speedups.push_back(sweep.speedup("8/48 base", label, wname));
+            accs.push_back(
+                100.0 * sweep.at(label, wname).stats.predictionAccuracy());
         }
-        table.addRow({preds[p],
-                      TextTable::fmt(harmonicMean(speedups), 3),
+        table.addRow({pred, TextTable::fmt(harmonicMean(speedups), 3),
                       TextTable::fmt(arithmeticMean(accs), 1)});
     }
     std::printf("%s\n", table.render().c_str());

@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 
@@ -17,53 +18,28 @@ int
 main(int argc, char **argv)
 {
     using namespace vsim;
-    using core::ConfidenceKind;
-    using core::SpecModel;
-    using core::UpdateTiming;
 
     const bench::Options opt = bench::parseOptions(argc, argv);
-    const sim::MachineConfig m{8, 48};
+    const bench::SweepResults sweep("reissue-latency", opt);
     const int lats[] = {0, 1, 2, 4};
-    const ConfidenceKind confs[] = {ConfidenceKind::Always,
-                                    ConfidenceKind::Real};
 
-    bench::Sweep sweep(opt);
-    std::vector<int> base_idx;
-    for (const std::string &wname : bench::workloadNames(opt))
-        base_idx.push_back(sweep.addBase(m, wname));
-    // vp_idx[conf][lat][workload]
-    std::vector<std::vector<std::vector<int>>> vp_idx(2);
-    for (std::size_t c = 0; c < 2; ++c) {
-        vp_idx[c].resize(4);
-        for (std::size_t i = 0; i < 4; ++i) {
-            for (const std::string &wname : bench::workloadNames(opt)) {
-                SpecModel model = SpecModel::greatModel();
-                model.invalidateToReissue = lats[i];
-                vp_idx[c][i].push_back(sweep.add(
-                    m, wname,
-                    sim::vpConfig(m, model, confs[c],
-                                  UpdateTiming::Immediate)));
-            }
-        }
-    }
-    sweep.run();
-
-    for (std::size_t c = 0; c < 2; ++c) {
+    for (const char *conf : {"always", "real"}) {
         std::printf("== Ablation: Invalidation-Reissue latency sweep "
                     "(8/48, %s confidence, immediate update) ==\n\n",
-                    confs[c] == ConfidenceKind::Always ? "always"
-                                                       : "real");
+                    conf);
         TextTable table;
         table.setHeader({"workload", "lat=0", "lat=1", "lat=2",
                          "lat=4"});
 
-        const auto wnames = bench::workloadNames(opt);
         std::vector<std::vector<double>> per_lat(4);
-        for (std::size_t w = 0; w < wnames.size(); ++w) {
-            std::vector<std::string> row = {wnames[w]};
+        for (const std::string &wname : sim::sweepWorkloads(opt.quick)) {
+            std::vector<std::string> row = {wname};
             for (std::size_t i = 0; i < 4; ++i) {
-                const double sp =
-                    sweep.speedup(base_idx[w], vp_idx[c][i][w]);
+                const double sp = sweep.speedup(
+                    "8/48 base",
+                    std::string("8/48 ") + conf + " reissue-lat="
+                        + std::to_string(lats[i]),
+                    wname);
                 per_lat[i].push_back(sp);
                 row.push_back(TextTable::fmt(sp, 3));
             }

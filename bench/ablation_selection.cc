@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 
@@ -16,59 +17,33 @@ int
 main(int argc, char **argv)
 {
     using namespace vsim;
-    using core::ConfidenceKind;
-    using core::SelectPolicy;
-    using core::SpecModel;
-    using core::UpdateTiming;
 
     const bench::Options opt = bench::parseOptions(argc, argv);
-    const sim::MachineConfig m{8, 48};
+    const bench::SweepResults sweep("selection", opt);
 
-    const std::vector<std::pair<const char *, SelectPolicy>> policies = {
-        {"typed+spec-last (paper)", SelectPolicy::TypedSpecLast},
-        {"typed only", SelectPolicy::TypedOnly},
-        {"oldest first", SelectPolicy::OldestFirst},
-        {"typed+spec-first", SelectPolicy::TypedSpecFirst},
+    // (row name, sweep cell label suffix)
+    const std::pair<const char *, const char *> policies[] = {
+        {"typed+spec-last (paper)", "typed-spec-last"},
+        {"typed only", "typed-only"},
+        {"oldest first", "oldest-first"},
+        {"typed+spec-first", "typed-spec-first"},
     };
-    const ConfidenceKind confs[] = {ConfidenceKind::Real,
-                                    ConfidenceKind::Oracle};
 
-    bench::Sweep sweep(opt);
-    const auto wnames = bench::workloadNames(opt);
-    std::vector<int> base_idx;
-    for (const std::string &wname : wnames)
-        base_idx.push_back(sweep.addBase(m, wname));
-    // vp_idx[conf][policy][workload]
-    std::vector<std::vector<std::vector<int>>> vp_idx(2);
-    for (std::size_t c = 0; c < 2; ++c) {
-        vp_idx[c].resize(policies.size());
-        for (std::size_t p = 0; p < policies.size(); ++p) {
-            for (const std::string &wname : wnames) {
-                SpecModel model = SpecModel::greatModel();
-                model.selectPolicy = policies[p].second;
-                vp_idx[c][p].push_back(sweep.add(
-                    m, wname,
-                    sim::vpConfig(m, model, confs[c],
-                                  UpdateTiming::Immediate)));
-            }
-        }
-    }
-    sweep.run();
-
-    for (std::size_t c = 0; c < 2; ++c) {
+    // (confidence, sweep cell label prefix)
+    for (const auto &[conf, prefix] :
+         {std::pair{"real", "8/48 great I/R "},
+          std::pair{"oracle", "8/48 great I/O "}}) {
         std::printf("== Ablation: selection policy (8/48, great, %s "
                     "confidence, immediate update) ==\n\n",
-                    confs[c] == ConfidenceKind::Real ? "real"
-                                                     : "oracle");
+                    conf);
         TextTable table;
         table.setHeader({"policy", "hmean speedup"});
-        for (std::size_t p = 0; p < policies.size(); ++p) {
+        for (const auto &[name, policy] : policies) {
             std::vector<double> speedups;
-            for (std::size_t w = 0; w < wnames.size(); ++w)
-                speedups.push_back(
-                    sweep.speedup(base_idx[w], vp_idx[c][p][w]));
-            table.addRow({policies[p].first,
-                          TextTable::fmt(harmonicMean(speedups), 3)});
+            for (const std::string &wname : sim::sweepWorkloads(opt.quick))
+                speedups.push_back(sweep.speedup(
+                    "8/48 base", std::string(prefix) + policy, wname));
+            table.addRow({name, TextTable::fmt(harmonicMean(speedups), 3)});
         }
         std::printf("%s\n", table.render().c_str());
     }

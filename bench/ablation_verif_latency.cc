@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 
@@ -16,29 +17,9 @@ int
 main(int argc, char **argv)
 {
     using namespace vsim;
-    using core::ConfidenceKind;
-    using core::SpecModel;
-    using core::UpdateTiming;
 
     const bench::Options opt = bench::parseOptions(argc, argv);
-    const sim::MachineConfig m{8, 48};
-
-    bench::Sweep sweep(opt);
-    const auto wnames = bench::workloadNames(opt);
-    std::vector<int> base_idx;
-    std::vector<std::vector<int>> vp_idx(wnames.size());
-    for (std::size_t w = 0; w < wnames.size(); ++w) {
-        base_idx.push_back(sweep.addBase(m, wnames[w]));
-        for (int lat = 0; lat <= 3; ++lat) {
-            SpecModel model = SpecModel::greatModel();
-            model.execToEquality = lat;
-            vp_idx[w].push_back(sweep.add(
-                m, wnames[w],
-                sim::vpConfig(m, model, ConfidenceKind::Oracle,
-                              UpdateTiming::Immediate)));
-        }
-    }
-    sweep.run();
+    const bench::SweepResults sweep("verif-latency", opt);
 
     std::printf("== Ablation: Execution-Equality-Verification latency "
                 "sweep (8/48, oracle confidence) ==\n\n");
@@ -46,11 +27,12 @@ main(int argc, char **argv)
     table.setHeader({"workload", "lat=0", "lat=1", "lat=2", "lat=3"});
 
     std::vector<std::vector<double>> per_lat(4);
-    for (std::size_t w = 0; w < wnames.size(); ++w) {
-        std::vector<std::string> row = {wnames[w]};
-        for (std::size_t lat = 0; lat < 4; ++lat) {
-            const double sp =
-                sweep.speedup(base_idx[w], vp_idx[w][lat]);
+    for (const std::string &wname : sim::sweepWorkloads(opt.quick)) {
+        std::vector<std::string> row = {wname};
+        for (int lat = 0; lat <= 3; ++lat) {
+            const double sp = sweep.speedup(
+                "8/48 base", "8/48 verif-lat=" + std::to_string(lat),
+                wname);
             per_lat[lat].push_back(sp);
             row.push_back(TextTable::fmt(sp, 3));
         }

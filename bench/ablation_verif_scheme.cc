@@ -16,6 +16,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench_util.hh"
 
@@ -23,65 +24,32 @@ int
 main(int argc, char **argv)
 {
     using namespace vsim;
-    using core::ConfidenceKind;
-    using core::SpecModel;
-    using core::UpdateTiming;
-    using core::VerifyScheme;
 
     const bench::Options opt = bench::parseOptions(argc, argv);
-    const sim::MachineConfig m{8, 48};
+    const bench::SweepResults sweep("verif-scheme", opt);
+    const char *const schemes[] = {"flattened", "hierarchical",
+                                   "retirement", "hybrid"};
 
-    const std::vector<std::pair<const char *, VerifyScheme>> schemes = {
-        {"flattened", VerifyScheme::Flattened},
-        {"hierarchical", VerifyScheme::Hierarchical},
-        {"retirement", VerifyScheme::RetirementBased},
-        {"hybrid", VerifyScheme::Hybrid},
-    };
-    const ConfidenceKind confs[] = {ConfidenceKind::Oracle,
-                                    ConfidenceKind::Real};
-
-    bench::Sweep sweep(opt);
-    const auto wnames = bench::workloadNames(opt);
-    std::vector<int> base_idx;
-    for (const std::string &wname : wnames)
-        base_idx.push_back(sweep.addBase(m, wname));
-    // vp_idx[conf][workload][scheme]
-    std::vector<std::vector<std::vector<int>>> vp_idx(2);
-    for (std::size_t c = 0; c < 2; ++c) {
-        vp_idx[c].resize(wnames.size());
-        for (std::size_t w = 0; w < wnames.size(); ++w) {
-            for (std::size_t s = 0; s < schemes.size(); ++s) {
-                SpecModel model = SpecModel::greatModel();
-                model.verifyScheme = schemes[s].second;
-                if (model.verifyScheme == VerifyScheme::Hierarchical)
-                    model.invalScheme = core::InvalScheme::Hierarchical;
-                vp_idx[c][w].push_back(sweep.add(
-                    m, wnames[w],
-                    sim::vpConfig(m, model, confs[c],
-                                  UpdateTiming::Immediate),
-                    m.label() + " " + schemes[s].first));
-            }
-        }
-    }
-    sweep.run();
-
-    for (std::size_t c = 0; c < 2; ++c) {
+    // (confidence, sweep cell label prefix)
+    for (const auto &[conf, prefix] :
+         {std::pair{"oracle", "8/48 great I/O "},
+          std::pair{"real", "8/48 great I/R "}}) {
         std::printf("== Ablation: verification scheme (8/48, great "
                     "latencies, %s confidence) ==\n\n",
-                    confs[c] == ConfidenceKind::Oracle ? "oracle"
-                                                       : "real");
+                    conf);
         TextTable table;
         std::vector<std::string> header = {"workload"};
-        for (const auto &[name, scheme] : schemes)
-            header.push_back(name);
+        for (const char *scheme : schemes)
+            header.push_back(scheme);
         table.setHeader(header);
 
-        std::vector<std::vector<double>> per_scheme(schemes.size());
-        for (std::size_t w = 0; w < wnames.size(); ++w) {
-            std::vector<std::string> row = {wnames[w]};
-            for (std::size_t s = 0; s < schemes.size(); ++s) {
+        std::vector<std::vector<double>> per_scheme(std::size(schemes));
+        for (const std::string &wname : sim::sweepWorkloads(opt.quick)) {
+            std::vector<std::string> row = {wname};
+            for (std::size_t s = 0; s < std::size(schemes); ++s) {
                 const double sp =
-                    sweep.speedup(base_idx[w], vp_idx[c][w][s]);
+                    sweep.speedup("8/48 base",
+                                  std::string(prefix) + schemes[s], wname);
                 per_scheme[s].push_back(sp);
                 row.push_back(TextTable::fmt(sp, 3));
             }

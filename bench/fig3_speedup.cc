@@ -14,7 +14,6 @@
  */
 
 #include <cstdio>
-#include <map>
 #include <string>
 
 #include "bench_util.hh"
@@ -23,68 +22,31 @@ int
 main(int argc, char **argv)
 {
     using namespace vsim;
-    using core::ConfidenceKind;
-    using core::SpecModel;
-    using core::UpdateTiming;
 
     const bench::Options opt = bench::parseOptions(argc, argv);
-
-    const std::vector<SpecModel> models = {SpecModel::goodModel(),
-                                           SpecModel::greatModel(),
-                                           SpecModel::superModel()};
-    const std::vector<std::pair<UpdateTiming, ConfidenceKind>> combos = {
-        {UpdateTiming::Delayed, ConfidenceKind::Real},
-        {UpdateTiming::Immediate, ConfidenceKind::Real},
-        {UpdateTiming::Delayed, ConfidenceKind::Oracle},
-        {UpdateTiming::Immediate, ConfidenceKind::Oracle},
-    };
-
-    // Enqueue the full (machine x model x combo x workload) grid plus
-    // the base runs, then execute everything in one parallel sweep.
-    bench::Sweep sweep(opt);
-    std::map<std::string, int> base_idx, vp_idx;
-    for (const auto &m : bench::machines(opt)) {
-        for (const std::string &wname : bench::workloadNames(opt)) {
-            base_idx[m.label() + ":" + wname] = sweep.addBase(m, wname);
-            for (const SpecModel &model : models) {
-                for (const auto &[timing, conf] : combos) {
-                    const std::string key =
-                        m.label() + ":" + model.name + ":"
-                        + sim::timingConfLabel(timing, conf) + ":"
-                        + wname;
-                    vp_idx[key] = sweep.add(
-                        m, wname, sim::vpConfig(m, model, conf, timing));
-                }
-            }
-        }
-    }
-    sweep.run();
+    const bench::SweepResults sweep("fig3", opt);
+    const auto wnames = sim::sweepWorkloads(opt.quick);
 
     std::printf("== Figure 3: Speculative execution models, average "
                 "speedup ==\n");
     std::printf("(harmonic mean over %zu workloads; speedup = base "
                 "cycles / VP cycles)\n\n",
-                bench::workloadNames(opt).size());
+                wnames.size());
 
-    for (const auto &m : bench::machines(opt)) {
+    const char *const combos[] = {"D/R", "I/R", "D/O", "I/O"};
+    for (const auto &m : sim::sweepMachines(opt.quick)) {
         std::printf("-- machine %s (issue width / window size) --\n",
                     m.label().c_str());
         TextTable table;
         table.setHeader({"model", "D/R", "I/R", "D/O", "I/O"});
-        for (const SpecModel &model : models) {
-            std::vector<std::string> row = {model.name};
-            for (const auto &[timing, conf] : combos) {
+        for (const char *model : {"good", "great", "super"}) {
+            std::vector<std::string> row = {model};
+            for (const char *combo : combos) {
                 std::vector<double> speedups;
-                for (const std::string &wname :
-                     bench::workloadNames(opt)) {
-                    const std::string key =
-                        m.label() + ":" + model.name + ":"
-                        + sim::timingConfLabel(timing, conf) + ":"
-                        + wname;
+                for (const std::string &wname : wnames)
                     speedups.push_back(sweep.speedup(
-                        base_idx.at(m.label() + ":" + wname),
-                        vp_idx.at(key)));
-                }
+                        m.label() + " base",
+                        m.label() + " " + model + " " + combo, wname));
                 row.push_back(
                     TextTable::fmt(harmonicMean(speedups), 3));
             }

@@ -24,24 +24,9 @@ int
 main(int argc, char **argv)
 {
     using namespace vsim;
-    using core::ConfidenceKind;
-    using core::SpecModel;
-    using core::UpdateTiming;
 
     const bench::Options opt = bench::parseOptions(argc, argv);
-
-    // Enqueue the whole grid, run it in one parallel sweep.
-    bench::Sweep sweep(opt);
-    std::vector<int> indices;
-    for (const auto &m : bench::machines(opt))
-        for (UpdateTiming timing :
-             {UpdateTiming::Delayed, UpdateTiming::Immediate})
-            for (const std::string &wname : bench::workloadNames(opt))
-                indices.push_back(sweep.add(
-                    m, wname,
-                    sim::vpConfig(m, SpecModel::greatModel(),
-                                  ConfidenceKind::Real, timing)));
-    sweep.run();
+    const bench::SweepResults sweep("fig4", opt);
 
     std::printf("== Figure 4: Average prediction accuracy (great "
                 "model, real confidence) ==\n\n");
@@ -50,31 +35,26 @@ main(int argc, char **argv)
     table.setHeader({"config", "timing", "CH %", "CL %", "IH %", "IL %",
                      "correct %"});
 
-    std::size_t next = 0;
-    for (const auto &m : bench::machines(opt)) {
-        for (UpdateTiming timing :
-             {UpdateTiming::Delayed, UpdateTiming::Immediate}) {
+    for (const auto &m : sim::sweepMachines(opt.quick)) {
+        for (const char *timing : {"D", "I"}) {
             std::vector<double> ch, cl, ih, il;
-            for (const std::string &wname : bench::workloadNames(opt)) {
-                (void)wname;
-                const auto &run = sweep.at(indices[next++]);
-                ch.push_back(bench::pct(run.stats.vpCH,
-                                        run.stats.vpEligible));
-                cl.push_back(bench::pct(run.stats.vpCL,
-                                        run.stats.vpEligible));
-                ih.push_back(bench::pct(run.stats.vpIH,
-                                        run.stats.vpEligible));
-                il.push_back(bench::pct(run.stats.vpIL,
-                                        run.stats.vpEligible));
+            for (const std::string &wname :
+                 sim::sweepWorkloads(opt.quick)) {
+                const auto &s =
+                    sweep.at(m.label() + " great " + timing + "/R", wname)
+                        .stats;
+                ch.push_back(bench::pct(s.vpCH, s.vpEligible));
+                cl.push_back(bench::pct(s.vpCL, s.vpEligible));
+                ih.push_back(bench::pct(s.vpIH, s.vpEligible));
+                il.push_back(bench::pct(s.vpIL, s.vpEligible));
             }
             const double mch = arithmeticMean(ch);
             const double mcl = arithmeticMean(cl);
             const double mih = arithmeticMean(ih);
             const double mil = arithmeticMean(il);
-            table.addRow({m.label(),
-                          timing == UpdateTiming::Delayed ? "D" : "I",
-                          TextTable::fmt(mch, 1), TextTable::fmt(mcl, 1),
-                          TextTable::fmt(mih, 2), TextTable::fmt(mil, 1),
+            table.addRow({m.label(), timing, TextTable::fmt(mch, 1),
+                          TextTable::fmt(mcl, 1), TextTable::fmt(mih, 2),
+                          TextTable::fmt(mil, 1),
                           TextTable::fmt(mch + mcl, 1)});
         }
     }

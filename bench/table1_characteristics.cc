@@ -14,28 +14,12 @@
 
 #include "bench_util.hh"
 #include "vsim/arch/functional_core.hh"
-#include "vsim/base/stats.hh"
-#include "vsim/core/spec_model.hh"
 
 int
 main(int argc, char **argv)
 {
     using namespace vsim;
     const bench::Options opt = bench::parseOptions(argc, argv);
-
-    // Prediction eligibility from value-speculative runs (great
-    // model, delayed update, real confidence: the D/R baseline), all
-    // executed in one parallel sweep.
-    const sim::MachineConfig m{8, 48};
-    bench::Sweep sweep(opt);
-    std::vector<int> indices;
-    for (const std::string &name : bench::workloadNames(opt))
-        indices.push_back(sweep.add(
-            m, name,
-            sim::vpConfig(m, core::SpecModel::greatModel(),
-                          core::ConfidenceKind::Real,
-                          core::UpdateTiming::Delayed)));
-    sweep.run();
 
     std::printf("== Table 1: Benchmark Characteristics ==\n");
     std::printf("(paper: SPECint95, 40-203M instr, 61.7%%-82.0%% "
@@ -46,17 +30,17 @@ main(int argc, char **argv)
                      "Instructions Predicted (%)"});
 
     std::vector<double> pred_rates;
-    std::size_t next = 0;
-    for (const std::string &name : bench::workloadNames(opt)) {
+    for (const std::string &name : sim::sweepWorkloads(opt.quick)) {
         const auto &w = workloads::byName(name);
 
-        // Dynamic length from the functional reference run.
+        // Dynamic length and prediction eligibility from the
+        // functional reference run.
         const arch::ExecTrace trace =
             arch::preExecute(workloads::buildProgram(w, opt.scale));
-
-        const sim::RunResult &run = sweep.at(indices[next++]);
-        const double pct =
-            bench::pct(run.stats.vpEligible, run.stats.retired);
+        std::uint64_t eligible = 0;
+        for (const arch::TraceEntry &e : trace.entries)
+            eligible += e.inst.isValuePredictable();
+        const double pct = bench::pct(eligible, trace.entries.size());
         pred_rates.push_back(pct);
 
         table.addRow({name, w.specAnalog,

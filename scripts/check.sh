@@ -128,7 +128,8 @@ for kind in sparse dense; do
         done
     done
     for sweep in base fig3 fig4 confidence predictors verif-latency \
-                 reissue-latency; do
+                 reissue-latency verif-scheme branch-resolution \
+                 mem-resolution selection; do
         ./build/tools/vspec_sweep "$sweep" --quick --scale 1 --jobs 4 \
             --sweep-kind "$kind" \
             | diff - "tests/golden/sweep_${sweep}.txt"

@@ -15,18 +15,6 @@
 namespace vsim::core
 {
 
-namespace
-{
-
-/** True when the instruction's result register is value-predictable. */
-bool
-vpEligibleInst(const isa::Inst &inst)
-{
-    return inst.destReg() >= 0 && !inst.isControl();
-}
-
-} // namespace
-
 // =====================================================================
 // fetch
 // =====================================================================
@@ -202,7 +190,7 @@ OooCore::captureOperand(RsEntry &e, int idx, int reg)
 void
 OooCore::predictValueAt(RsEntry &e)
 {
-    if (!cfg.useValuePrediction || !vpEligibleInst(e.inst))
+    if (!cfg.useValuePrediction || !e.inst.isValuePredictable())
         return;
     e.vpEligible = true;
     RsCold &c = cold(e.slot);

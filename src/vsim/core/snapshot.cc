@@ -140,8 +140,7 @@ functionalWarmup(const assembler::Program &prog,
         }
         if (te.inst.isMem())
             dcacheH.access(te.memAddr, te.inst.isStore());
-        if (cfg.useValuePrediction && te.inst.destReg() >= 0
-            && !te.inst.isControl()) {
+        if (cfg.useValuePrediction && te.inst.isValuePredictable()) {
             const vpred::Prediction p = vp->predict(te.pc);
             const bool correct = p.value == te.value;
             if (cfg.updateTiming == UpdateTiming::Immediate) {

@@ -147,6 +147,16 @@ struct Inst
         return (info().writesReg && ra != 0) ? ra : -1;
     }
 
+    /**
+     * True when the result is value-predictable: the instruction
+     * writes a register and is not a control transfer.
+     */
+    bool
+    isValuePredictable() const
+    {
+        return destReg() >= 0 && !isControl();
+    }
+
     /** First source register, or -1. Branches use ra as src1. */
     int
     srcReg1() const

@@ -379,13 +379,42 @@ makeJob(const MachineConfig &m, const std::string &workload, int scale,
     return job;
 }
 
+/** Append one job per workload of @p opt, all under @p cfg. */
+void
+addRuns(std::vector<SweepJob> &jobs, const SweepOptions &opt,
+        const MachineConfig &m, const core::CoreConfig &cfg,
+        const std::string &label = "")
+{
+    for (const auto &w : sweepWorkloads(opt))
+        jobs.push_back(makeJob(m, w, opt.scale, cfg, label));
+}
+
+/** The machine every ablation sweep runs on. */
+constexpr MachineConfig kAblationMachine{8, 48};
+
+/** Base runs on the ablation machine: every ablation's speedup baseline. */
+std::vector<SweepJob>
+ablationBase(const SweepOptions &opt)
+{
+    std::vector<SweepJob> jobs;
+    addRuns(jobs, opt, kAblationMachine, baseConfig(kAblationMachine));
+    return jobs;
+}
+
+/** "<machine> <config> <variant>": unique per ablation cell. */
+std::string
+variantLabel(const core::CoreConfig &cfg, const std::string &variant)
+{
+    return kAblationMachine.label() + " " + configLabel(cfg) + " "
+           + variant;
+}
+
 std::vector<SweepJob>
 buildBase(const SweepOptions &opt)
 {
     std::vector<SweepJob> jobs;
     for (const auto &m : sweepMachines(opt.quick))
-        for (const auto &w : sweepWorkloads(opt))
-            jobs.push_back(makeJob(m, w, opt.scale, baseConfig(m)));
+        addRuns(jobs, opt, m, baseConfig(m));
     return jobs;
 }
 
@@ -405,10 +434,7 @@ buildFig3(const SweepOptions &opt)
     for (const auto &m : sweepMachines(opt.quick))
         for (const SpecModel &model : models)
             for (const auto &[timing, conf] : combos)
-                for (const auto &w : sweepWorkloads(opt))
-                    jobs.push_back(makeJob(
-                        m, w, opt.scale,
-                        vpConfig(m, model, conf, timing)));
+                addRuns(jobs, opt, m, vpConfig(m, model, conf, timing));
     return jobs;
 }
 
@@ -419,18 +445,16 @@ buildFig4(const SweepOptions &opt)
     for (const auto &m : sweepMachines(opt.quick))
         for (UpdateTiming timing :
              {UpdateTiming::Delayed, UpdateTiming::Immediate})
-            for (const auto &w : sweepWorkloads(opt))
-                jobs.push_back(makeJob(
-                    m, w, opt.scale,
+            addRuns(jobs, opt, m,
                     vpConfig(m, SpecModel::greatModel(),
-                             ConfidenceKind::Real, timing)));
+                             ConfidenceKind::Real, timing));
     return jobs;
 }
 
 std::vector<SweepJob>
 buildConfidence(const SweepOptions &opt)
 {
-    const MachineConfig m{8, 48};
+    const MachineConfig m = kAblationMachine;
     struct Variant
     {
         const char *name;
@@ -447,19 +471,13 @@ buildConfidence(const SweepOptions &opt)
         {"always", ConfidenceKind::Always, 3, -1},
         {"oracle", ConfidenceKind::Oracle, 3, -1},
     };
-    std::vector<SweepJob> jobs;
-    for (const auto &w : sweepWorkloads(opt))
-        jobs.push_back(makeJob(m, w, opt.scale, baseConfig(m)));
+    std::vector<SweepJob> jobs = ablationBase(opt);
     for (const Variant &v : variants) {
-        for (const auto &w : sweepWorkloads(opt)) {
-            core::CoreConfig cfg =
-                vpConfig(m, SpecModel::greatModel(), v.kind,
-                         UpdateTiming::Delayed);
-            cfg.confidenceBits = v.bits;
-            cfg.confidenceThreshold = v.threshold;
-            jobs.push_back(makeJob(m, w, opt.scale, cfg,
-                                   m.label() + " " + v.name));
-        }
+        core::CoreConfig cfg = vpConfig(m, SpecModel::greatModel(), v.kind,
+                                        UpdateTiming::Delayed);
+        cfg.confidenceBits = v.bits;
+        cfg.confidenceThreshold = v.threshold;
+        addRuns(jobs, opt, m, cfg, m.label() + " " + v.name);
     }
     return jobs;
 }
@@ -467,20 +485,14 @@ buildConfidence(const SweepOptions &opt)
 std::vector<SweepJob>
 buildPredictors(const SweepOptions &opt)
 {
-    const MachineConfig m{8, 48};
-    std::vector<SweepJob> jobs;
-    for (const auto &w : sweepWorkloads(opt))
-        jobs.push_back(makeJob(m, w, opt.scale, baseConfig(m)));
+    const MachineConfig m = kAblationMachine;
+    std::vector<SweepJob> jobs = ablationBase(opt);
     for (const char *pred : {"fcm", "last-value", "stride", "hybrid"}) {
-        for (const auto &w : sweepWorkloads(opt)) {
-            core::CoreConfig cfg =
-                vpConfig(m, SpecModel::greatModel(),
-                         ConfidenceKind::Oracle, UpdateTiming::Immediate);
-            cfg.valuePredictor = pred;
-            jobs.push_back(
-                makeJob(m, w, opt.scale, cfg,
-                        m.label() + " " + std::string(pred)));
-        }
+        core::CoreConfig cfg =
+            vpConfig(m, SpecModel::greatModel(), ConfidenceKind::Oracle,
+                     UpdateTiming::Immediate);
+        cfg.valuePredictor = pred;
+        addRuns(jobs, opt, m, cfg, m.label() + " " + pred);
     }
     return jobs;
 }
@@ -488,20 +500,15 @@ buildPredictors(const SweepOptions &opt)
 std::vector<SweepJob>
 buildVerifLatency(const SweepOptions &opt)
 {
-    const MachineConfig m{8, 48};
-    std::vector<SweepJob> jobs;
-    for (const auto &w : sweepWorkloads(opt))
-        jobs.push_back(makeJob(m, w, opt.scale, baseConfig(m)));
+    const MachineConfig m = kAblationMachine;
+    std::vector<SweepJob> jobs = ablationBase(opt);
     for (int lat = 0; lat <= 3; ++lat) {
-        for (const auto &w : sweepWorkloads(opt)) {
-            SpecModel model = SpecModel::greatModel();
-            model.execToEquality = lat;
-            jobs.push_back(makeJob(
-                m, w, opt.scale,
+        SpecModel model = SpecModel::greatModel();
+        model.execToEquality = lat;
+        addRuns(jobs, opt, m,
                 vpConfig(m, model, ConfidenceKind::Oracle,
                          UpdateTiming::Immediate),
-                m.label() + " verif-lat=" + std::to_string(lat)));
-        }
+                m.label() + " verif-lat=" + std::to_string(lat));
     }
     return jobs;
 }
@@ -509,24 +516,103 @@ buildVerifLatency(const SweepOptions &opt)
 std::vector<SweepJob>
 buildReissueLatency(const SweepOptions &opt)
 {
-    const MachineConfig m{8, 48};
-    std::vector<SweepJob> jobs;
-    for (const auto &w : sweepWorkloads(opt))
-        jobs.push_back(makeJob(m, w, opt.scale, baseConfig(m)));
+    const MachineConfig m = kAblationMachine;
+    std::vector<SweepJob> jobs = ablationBase(opt);
     for (ConfidenceKind conf :
          {ConfidenceKind::Always, ConfidenceKind::Real}) {
         for (int lat : {0, 1, 2, 4}) {
-            for (const auto &w : sweepWorkloads(opt)) {
-                SpecModel model = SpecModel::greatModel();
-                model.invalidateToReissue = lat;
-                jobs.push_back(makeJob(
-                    m, w, opt.scale,
+            SpecModel model = SpecModel::greatModel();
+            model.invalidateToReissue = lat;
+            addRuns(jobs, opt, m,
                     vpConfig(m, model, conf, UpdateTiming::Immediate),
                     m.label()
                         + (conf == ConfidenceKind::Always ? " always"
                                                           : " real")
-                        + " reissue-lat=" + std::to_string(lat)));
-            }
+                        + " reissue-lat=" + std::to_string(lat));
+        }
+    }
+    return jobs;
+}
+
+std::vector<SweepJob>
+buildVerifScheme(const SweepOptions &opt)
+{
+    const MachineConfig m = kAblationMachine;
+    std::vector<SweepJob> jobs = ablationBase(opt);
+    for (ConfidenceKind conf :
+         {ConfidenceKind::Oracle, ConfidenceKind::Real}) {
+        for (core::VerifyScheme scheme :
+             {core::VerifyScheme::Flattened,
+              core::VerifyScheme::Hierarchical,
+              core::VerifyScheme::RetirementBased,
+              core::VerifyScheme::Hybrid}) {
+            SpecModel model = SpecModel::greatModel();
+            model.verifyScheme = scheme;
+            // A hierarchical verify wave comes with the hierarchical
+            // invalidation wave (§3.2).
+            if (scheme == core::VerifyScheme::Hierarchical)
+                model.invalScheme = core::InvalScheme::Hierarchical;
+            const core::CoreConfig cfg =
+                vpConfig(m, model, conf, UpdateTiming::Immediate);
+            addRuns(jobs, opt, m, cfg,
+                    variantLabel(cfg, core::verifySchemeName(scheme)));
+        }
+    }
+    return jobs;
+}
+
+std::vector<SweepJob>
+buildBranchResolution(const SweepOptions &opt)
+{
+    const MachineConfig m = kAblationMachine;
+    std::vector<SweepJob> jobs = ablationBase(opt);
+    for (ConfidenceKind conf :
+         {ConfidenceKind::Real, ConfidenceKind::Oracle}) {
+        const core::CoreConfig valid = vpConfig(
+            m, SpecModel::greatModel(), conf, UpdateTiming::Immediate);
+        addRuns(jobs, opt, m, valid);
+        core::CoreConfig spec = valid;
+        spec.model.branchNeedsValidOps = false;
+        addRuns(jobs, opt, m, spec, variantLabel(spec, "spec-branch"));
+    }
+    return jobs;
+}
+
+std::vector<SweepJob>
+buildMemResolution(const SweepOptions &opt)
+{
+    const MachineConfig m = kAblationMachine;
+    std::vector<SweepJob> jobs = ablationBase(opt);
+    for (const char *model : {"super", "great", "good"}) {
+        const core::CoreConfig valid =
+            vpConfig(m, SpecModel::byName(model), ConfidenceKind::Real,
+                     UpdateTiming::Delayed);
+        addRuns(jobs, opt, m, valid);
+        core::CoreConfig spec = valid;
+        spec.model.memNeedsValidOps = false;
+        addRuns(jobs, opt, m, spec, variantLabel(spec, "spec-mem"));
+    }
+    return jobs;
+}
+
+std::vector<SweepJob>
+buildSelection(const SweepOptions &opt)
+{
+    const MachineConfig m = kAblationMachine;
+    std::vector<SweepJob> jobs = ablationBase(opt);
+    for (ConfidenceKind conf :
+         {ConfidenceKind::Real, ConfidenceKind::Oracle}) {
+        for (core::SelectPolicy policy :
+             {core::SelectPolicy::TypedSpecLast,
+              core::SelectPolicy::TypedOnly,
+              core::SelectPolicy::OldestFirst,
+              core::SelectPolicy::TypedSpecFirst}) {
+            SpecModel model = SpecModel::greatModel();
+            model.selectPolicy = policy;
+            const core::CoreConfig cfg =
+                vpConfig(m, model, conf, UpdateTiming::Immediate);
+            addRuns(jobs, opt, m, cfg,
+                    variantLabel(cfg, core::selectPolicyName(policy)));
         }
     }
     return jobs;
@@ -558,6 +644,21 @@ namedSweeps()
          "Invalidation-Reissue latency sweep 0-4 on 8/48, always and "
          "real confidence",
          buildReissueLatency},
+        {"verif-scheme",
+         "verification scheme (flattened/hierarchical/retirement/"
+         "hybrid) on 8/48, oracle and real confidence",
+         buildVerifScheme},
+        {"branch-resolution",
+         "branches resolved with valid vs speculative operands on "
+         "8/48, real and oracle confidence",
+         buildBranchResolution},
+        {"mem-resolution",
+         "memory ops issued with valid vs speculative addresses on "
+         "8/48, super/great/good",
+         buildMemResolution},
+        {"selection",
+         "issue-selection policy on 8/48, real and oracle confidence",
+         buildSelection},
     };
     return sweeps;
 }

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include "vsim/arch/functional_core.hh"
 #include "vsim/base/logging.hh"
 #include "vsim/sim/report.hh"
 #include "vsim/sim/simulator.hh"
+#include "vsim/workloads/workloads.hh"
 
 namespace
 {
@@ -131,6 +133,26 @@ TEST(Runs, VpRunImprovesOrMatchesPredictableKernel)
                       ConfidenceKind::Oracle, UpdateTiming::Immediate));
     EXPECT_EQ(base.exitCode, vp.exitCode);
     EXPECT_GT(sim::speedup(base, vp), 1.0);
+}
+
+// Table 1 counts prediction eligibility over the functional trace
+// instead of running the core: both must agree on every instruction.
+TEST(Runs, VpEligibilityMatchesTraceCount)
+{
+    for (const char *name : {"compress", "m88k", "queens"}) {
+        SCOPED_TRACE(name);
+        const arch::ExecTrace trace = arch::preExecute(
+            workloads::buildProgram(workloads::byName(name), 1));
+        std::uint64_t eligible = 0;
+        for (const arch::TraceEntry &e : trace.entries)
+            eligible += e.inst.isValuePredictable();
+        const auto vp = sim::runWorkload(
+            name, 1,
+            sim::vpConfig({8, 48}, SpecModel::greatModel(),
+                          ConfidenceKind::Real, UpdateTiming::Delayed));
+        EXPECT_EQ(vp.stats.vpEligible, eligible);
+        EXPECT_EQ(vp.stats.retired, trace.entries.size());
+    }
 }
 
 } // namespace

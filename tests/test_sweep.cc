@@ -12,7 +12,9 @@
 #include <atomic>
 #include <cctype>
 #include <cstdint>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "vsim/base/logging.hh"
@@ -578,7 +580,14 @@ TEST(SweepReport, CsvHasHeaderAndOneLinePerRun)
 
 TEST(NamedSweeps, RegistryAndQuickSizes)
 {
-    EXPECT_GE(sim::namedSweeps().size(), 5u);
+    std::vector<std::string> names;
+    for (const auto &s : sim::namedSweeps())
+        names.push_back(s.name);
+    EXPECT_EQ(names, (std::vector<std::string>{
+                         "base", "fig3", "fig4", "confidence",
+                         "predictors", "verif-latency", "reissue-latency",
+                         "verif-scheme", "branch-resolution",
+                         "mem-resolution", "selection"}));
 
     const sim::SweepOptions quick{true, 1};
     // fig3 quick: 3 base runs + 3 models x 4 combos x 3 workloads.
@@ -587,8 +596,31 @@ TEST(NamedSweeps, RegistryAndQuickSizes)
     EXPECT_EQ(sim::sweepByName("fig4").build(quick).size(), 6u);
     // base quick: 1 machine x 3 workloads.
     EXPECT_EQ(sim::sweepByName("base").build(quick).size(), 3u);
+    // The ablations: 3 base runs + variants x 3 workloads.
+    EXPECT_EQ(sim::sweepByName("verif-scheme").build(quick).size(),
+              3u + 2u * 4u * 3u);
+    EXPECT_EQ(sim::sweepByName("branch-resolution").build(quick).size(),
+              3u + 2u * 2u * 3u);
+    EXPECT_EQ(sim::sweepByName("mem-resolution").build(quick).size(),
+              3u + 3u * 2u * 3u);
+    EXPECT_EQ(sim::sweepByName("selection").build(quick).size(),
+              3u + 2u * 4u * 3u);
 
     EXPECT_THROW(sim::sweepByName("nonesuch"), FatalError);
+}
+
+// The bench binaries look cells up by (label, workload).
+TEST(NamedSweeps, CellsAreUniquelyLabelled)
+{
+    for (const auto &s : sim::namedSweeps()) {
+        for (bool quick : {true, false}) {
+            SCOPED_TRACE(s.name + (quick ? " quick" : " full"));
+            std::set<std::pair<std::string, std::string>> seen;
+            for (const auto &j : s.build({quick, 1, {}}))
+                EXPECT_TRUE(seen.insert({j.label, j.workload}).second)
+                    << j.label << " on " << j.workload;
+        }
+    }
 }
 
 TEST(NamedSweeps, LabelsNameTheConfiguration)

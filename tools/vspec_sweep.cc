@@ -72,7 +72,7 @@ usage(const char *argv0)
     std::fputs(vsim::sim::kRunFlagsHelp, stderr);
     std::fputs("named sweeps:\n", stderr);
     for (const auto &s : vsim::sim::namedSweeps())
-        std::fprintf(stderr, "  %-16s %s\n", s.name.c_str(),
+        std::fprintf(stderr, "  %-18s %s\n", s.name.c_str(),
                      s.description.c_str());
 }
 
