@@ -11,6 +11,7 @@
  */
 
 #include <cstdio>
+#include <memory>
 
 #include "bench_util.hh"
 #include "vsim/arch/functional_core.hh"
@@ -35,16 +36,16 @@ main(int argc, char **argv)
 
         // Dynamic length and prediction eligibility from the
         // functional reference run.
-        const arch::ExecTrace trace =
-            arch::preExecute(workloads::buildProgram(w, opt.scale));
+        const std::shared_ptr<const arch::ExecTrace> trace =
+            sim::loadWorkload(name, opt.scale).trace;
         std::uint64_t eligible = 0;
-        for (const arch::TraceEntry &e : trace.entries)
+        for (const arch::TraceEntry &e : trace->entries)
             eligible += e.inst.isValuePredictable();
-        const double pct = bench::pct(eligible, trace.entries.size());
+        const double pct = bench::pct(eligible, trace->entries.size());
         pred_rates.push_back(pct);
 
         table.addRow({name, w.specAnalog,
-                      std::to_string(trace.entries.size() / 1000),
+                      std::to_string(trace->entries.size() / 1000),
                       TextTable::fmt(pct, 1)});
     }
     table.addRow({"(mean)", "", "", TextTable::fmt(

@@ -56,7 +56,8 @@ export UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1
 cmake -B build-asan -S . -DVSIM_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j --target \
     test_core_base test_core_vspec test_core_misc test_core_xprod \
-    test_policy test_event_queue test_scheduler test_sweepdiff test_cpi
+    test_policy test_event_queue test_mem test_scheduler test_sweepdiff \
+    test_cpi
 ./build-asan/tests/test_core_base
 ./build-asan/tests/test_core_vspec
 ./build-asan/tests/test_core_misc
@@ -65,6 +66,9 @@ cmake --build build-asan -j --target \
 ./build-asan/tests/test_cpi
 ./build-asan/tests/test_policy
 ./build-asan/tests/test_event_queue
+# The memory image reads and writes a page at a time inside a page and
+# byte by byte across one or past 2^64, and decodes snapshot pages.
+./build-asan/tests/test_mem
 ./build-asan/tests/test_scheduler
 ./build-asan/tests/test_sweepdiff
 # The full cross product is covered (without sanitizers) by ctest;

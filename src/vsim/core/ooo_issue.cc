@@ -123,12 +123,13 @@ OooCore::loadAccess(const RsEntry &e, std::uint64_t addr) const
     a.ordered = true;
     a.forwarded = covered != 0;
     std::uint64_t raw = fwd;
-    for (int i = 0; i < size; ++i) {
-        if (!(covered & (1u << i))) {
-            raw |= static_cast<std::uint64_t>(memory.readByte(
-                       addr + static_cast<unsigned>(i)))
-                   << (8 * i);
-        }
+    if (covered != (1u << size) - 1) {
+        // Memory fills the bytes no store covered, from one read.
+        std::uint64_t fromStores = 0;
+        for (int i = 0; i < size; ++i)
+            if (covered & (1u << i))
+                fromStores |= 0xffull << (8 * i);
+        raw |= memory.read(addr, size) & ~fromStores;
     }
     a.value = arch::loadExtend(e.inst, raw);
     return a;

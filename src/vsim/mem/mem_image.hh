@@ -39,7 +39,11 @@ class MemImage
     std::uint8_t readByte(std::uint64_t addr) const;
     void writeByte(std::uint64_t addr, std::uint8_t value);
 
-    /** Little-endian read of @p size in {1,2,4,8} bytes. */
+    /**
+     * Little-endian read of @p size in {1,2,4,8} bytes. An access
+     * inside one page costs one page lookup; one that straddles a
+     * page (or wraps past 2^64) reads byte by byte.
+     */
     std::uint64_t read(std::uint64_t addr, int size) const;
 
     /** Little-endian write of @p size in {1,2,4,8} bytes. */
@@ -56,6 +60,8 @@ class MemImage
      * Serialize the full image (page numbers sorted, so the byte
      * stream is deterministic regardless of hash-map iteration
      * order) / rebuild it from a stream. Part of SimSnapshot.
+     * restore() throws FatalError on a duplicate or out-of-order
+     * page number, as on any other malformed stream.
      */
     void save(StateWriter &w) const;
     void restore(StateReader &r);

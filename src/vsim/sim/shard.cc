@@ -12,8 +12,6 @@
 #include "vsim/base/thread_pool.hh"
 #include "vsim/core/ooo_core.hh"
 #include "vsim/core/snapshot.hh"
-#include "vsim/trace/trace_io.hh"
-#include "vsim/workloads/workloads.hh"
 
 namespace vsim::sim
 {
@@ -326,23 +324,17 @@ RunResult
 ShardRunner::run(const std::string &workload, int scale)
 {
     validatePartition(cfg);
-    // Materialise the program and the oracle trace once; every shard
-    // core borrows the (potentially multi-gigabyte) trace via
-    // shared_ptr instead of copying it.
-    assembler::Program prog;
-    std::shared_ptr<const arch::ExecTrace> trace;
-    if (isTraceWorkload(workload)) {
-        trace::LoadedTrace loaded =
-            trace::loadTrace(traceWorkloadPath(workload));
-        prog = std::move(loaded.program);
-        trace = std::make_shared<const arch::ExecTrace>(
-            std::move(loaded.trace));
-    } else {
-        const workloads::Workload &w = workloads::byName(workload);
-        prog = workloads::buildProgram(w, scale);
-        trace = std::make_shared<const arch::ExecTrace>(
-            arch::preExecute(prog));
-    }
+    return run(workload, loadWorkload(workload, scale));
+}
+
+RunResult
+ShardRunner::run(const std::string &workload, const WorkloadInput &in)
+{
+    validatePartition(cfg);
+    // Every shard core borrows the (potentially multi-gigabyte) trace
+    // via shared_ptr instead of copying it.
+    const assembler::Program &prog = in.program;
+    const std::shared_ptr<const arch::ExecTrace> &trace = in.trace;
     const std::uint64_t len = trace->entries.size();
 
     if (samplingRequested(cfg))

@@ -129,7 +129,10 @@ class ShardRunner
   public:
     explicit ShardRunner(core::CoreConfig config);
 
-    /** Simulate @p workload at @p scale sharded; merged RunResult. */
+    /** Simulate @p workload from its input @p in; merged RunResult. */
+    RunResult run(const std::string &workload, const WorkloadInput &in);
+
+    /** loadWorkload(@p workload, @p scale), then run it sharded. */
     RunResult run(const std::string &workload, int scale);
 
   private:

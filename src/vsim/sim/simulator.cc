@@ -69,38 +69,34 @@ traceWorkloadPath(const std::string &name)
     return name.substr(sizeof(kTraceWorkloadPrefix) - 1);
 }
 
-namespace
+WorkloadInput
+loadWorkload(const std::string &name, int scale)
 {
-
-core::SimOutcome
-simulate(const std::string &name, int scale,
-         const core::CoreConfig &cfg)
-{
+    WorkloadInput in;
     if (isTraceWorkload(name)) {
         trace::LoadedTrace loaded =
             trace::loadTrace(traceWorkloadPath(name));
-        core::OooCore core(loaded.program, std::move(loaded.trace),
-                           cfg);
-        return core.run();
+        in.program = std::move(loaded.program);
+        in.trace = std::make_shared<const arch::ExecTrace>(
+            std::move(loaded.trace));
+    } else {
+        in.program =
+            workloads::buildProgram(workloads::byName(name), scale);
+        in.trace = std::make_shared<const arch::ExecTrace>(
+            arch::preExecute(in.program));
     }
-    const workloads::Workload &w = workloads::byName(name);
-    const assembler::Program prog = workloads::buildProgram(w, scale);
-    core::OooCore core(prog, cfg);
-    return core.run();
+    return in;
 }
 
-} // namespace
-
 RunResult
-runWorkload(const std::string &name, int scale,
+runWorkload(const std::string &name, const WorkloadInput &in,
             const core::CoreConfig &cfg)
 {
     validatePartition(cfg);
-    if (shardingRequested(cfg) || samplingRequested(cfg)) {
-        ShardRunner runner(cfg);
-        return runner.run(name, scale);
-    }
-    const core::SimOutcome out = simulate(name, scale, cfg);
+    if (shardingRequested(cfg) || samplingRequested(cfg))
+        return ShardRunner(cfg).run(name, in);
+    core::OooCore core(in.program, in.trace, cfg);
+    const core::SimOutcome out = core.run();
     VSIM_ASSERT(out.halted, "workload ", name,
                 " did not finish within the cycle limit");
 
@@ -114,6 +110,14 @@ runWorkload(const std::string &name, int scale,
     r.intervals = out.intervals;
     r.ledger = out.ledger;
     return r;
+}
+
+RunResult
+runWorkload(const std::string &name, int scale,
+            const core::CoreConfig &cfg)
+{
+    validatePartition(cfg);
+    return runWorkload(name, loadWorkload(name, scale), cfg);
 }
 
 double

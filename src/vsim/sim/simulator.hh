@@ -10,9 +10,12 @@
 #define VSIM_SIM_SIMULATOR_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "vsim/arch/functional_core.hh"
+#include "vsim/assembler/program.hh"
 #include "vsim/core/core_config.hh"
 #include "vsim/core/core_stats.hh"
 #include "vsim/core/spec_model.hh"
@@ -89,11 +92,35 @@ std::string traceWorkloadName(const std::string &path);
 std::string traceWorkloadPath(const std::string &name);
 
 /**
- * Build workload @p name at @p scale (-1 = default) and run it under
- * @p cfg. Correctness against the functional model is enforced inside
- * the core. A "trace:<path>" name replays the recorded trace instead
- * of building a kernel.
+ * What a run of one workload consumes before any core exists: the
+ * program image (wrong-path fetch decodes from it) and the oracle
+ * trace of its correct path. Immutable once built, so any number of
+ * runs, shards and sample representatives may share one.
  */
+struct WorkloadInput
+{
+    assembler::Program program;
+    std::shared_ptr<const arch::ExecTrace> trace;
+};
+
+/**
+ * Build the input of workload @p name at @p scale (-1 = default):
+ * assemble the kernel and pre-execute it, or, for a "trace:<path>"
+ * name, load the recorded trace (scale is then ignored). The one
+ * place a run's input is made; FatalError on an unknown workload or
+ * an unreadable trace.
+ */
+WorkloadInput loadWorkload(const std::string &name, int scale);
+
+/**
+ * Run workload @p name from its prebuilt input @p in under @p cfg.
+ * Correctness against the functional model is enforced inside the
+ * core. Sharded and sampled configurations go through ShardRunner.
+ */
+RunResult runWorkload(const std::string &name, const WorkloadInput &in,
+                      const core::CoreConfig &cfg);
+
+/** loadWorkload(@p name, @p scale), then run it under @p cfg. */
 RunResult runWorkload(const std::string &name, int scale,
                       const core::CoreConfig &cfg);
 

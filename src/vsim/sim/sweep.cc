@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <map>
+#include <numeric>
 #include <sstream>
+#include <utility>
 
 #include "disk_cache.hh"
 #include "vsim/base/logging.hh"
@@ -97,7 +101,8 @@ RunCache::process()
 }
 
 RunResult
-RunCache::getOrRun(const SweepJob &job, bool *cache_hit)
+RunCache::getOrRun(const SweepJob &job, bool *cache_hit,
+                   const InputSource &input)
 {
     const std::string key = jobKey(job);
     std::promise<RunResult> promise;
@@ -123,7 +128,9 @@ RunCache::getOrRun(const SweepJob &job, bool *cache_hit)
             RunResult result;
             from_disk = dsk && dsk->load(key, result);
             if (!from_disk)
-                result = runWorkload(job.workload, job.scale, job.cfg);
+                result = input
+                             ? runWorkload(job.workload, *input(), job.cfg)
+                             : runWorkload(job.workload, job.scale, job.cfg);
             promise.set_value(std::move(result));
             {
                 std::unique_lock<std::mutex> lock(mtx);
@@ -212,16 +219,6 @@ SweepRunner::defaultJobs()
     return ThreadPool::defaultThreadCount();
 }
 
-RunResult
-SweepRunner::runOne(const SweepJob &job, bool *cache_hit)
-{
-    if (cache)
-        return cache->getOrRun(job, cache_hit);
-    if (cache_hit)
-        *cache_hit = false;
-    return runWorkload(job.workload, job.scale, job.cfg);
-}
-
 namespace
 {
 
@@ -237,6 +234,105 @@ progressLine(std::atomic<std::size_t> &done, std::size_t total,
         os << " [cached]";
     logLine(os.str());
 }
+
+/**
+ * The shared inputs of one SweepRunner::run batch: one slot per
+ * distinct (workload, scale), built by the first job that asks for it
+ * and dropped once every job naming it has ended.
+ */
+class BatchInputs
+{
+  public:
+    explicit BatchInputs(const std::vector<SweepJob> &jobs)
+        : slotOf(jobs.size())
+    {
+        std::map<std::pair<std::string, int>, std::size_t> index;
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            const auto [it, fresh] = index.emplace(
+                std::make_pair(jobs[i].workload, jobs[i].scale),
+                slots.size());
+            if (fresh)
+                slots.emplace_back(jobs[i].workload, jobs[i].scale);
+            slotOf[i] = it->second;
+            ++slots[it->second].users;
+        }
+        // Slots are numbered in order of first appearance.
+        order.resize(jobs.size());
+        std::iota(order.begin(), order.end(), std::size_t{0});
+        std::stable_sort(order.begin(), order.end(),
+                         [this](std::size_t a, std::size_t b) {
+                             return slotOf[a] < slotOf[b];
+                         });
+    }
+
+    /** Job indices grouped by input, in order of first appearance. */
+    std::vector<std::size_t> order;
+
+    /**
+     * The input of job @p job, built here if no job has started it;
+     * a late arrival waits for the first builder. Rethrows a failed
+     * build to every job that asks for it.
+     */
+    std::shared_ptr<const WorkloadInput>
+    acquire(std::size_t job)
+    {
+        Slot &s = slots[slotOf[job]];
+        std::promise<std::shared_ptr<const WorkloadInput>> promise;
+        std::shared_future<std::shared_ptr<const WorkloadInput>> input;
+        bool builder = false;
+        {
+            std::lock_guard<std::mutex> lock(mtx);
+            if (!s.input.valid()) {
+                s.input = promise.get_future().share();
+                builder = true;
+                ++nLoaded;
+            }
+            input = s.input;
+        }
+        if (builder) {
+            try {
+                promise.set_value(std::make_shared<const WorkloadInput>(
+                    loadWorkload(s.workload, s.scale)));
+            } catch (...) {
+                promise.set_exception(std::current_exception());
+            }
+        }
+        return input.get();
+    }
+
+    /** Job @p job has ended: the last one of its input drops it. */
+    void
+    release(std::size_t job)
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        Slot &s = slots[slotOf[job]];
+        if (--s.users == 0)
+            s.input = {};
+    }
+
+    std::size_t
+    loaded() const
+    {
+        std::lock_guard<std::mutex> lock(mtx);
+        return nLoaded;
+    }
+
+  private:
+    struct Slot
+    {
+        Slot(std::string w, int sc) : workload(std::move(w)), scale(sc) {}
+
+        const std::string workload;
+        const int scale;
+        std::size_t users = 0; //!< jobs naming it that have not ended
+        std::shared_future<std::shared_ptr<const WorkloadInput>> input;
+    };
+
+    mutable std::mutex mtx;
+    std::vector<Slot> slots;
+    std::vector<std::size_t> slotOf; //!< job index -> slot
+    std::size_t nLoaded = 0;
+};
 
 } // namespace
 
@@ -264,57 +360,56 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
         }
     }
     std::atomic<std::size_t> done{0};
+    std::vector<std::exception_ptr> errors(jobs.size());
+    BatchInputs inputs(jobs);
+
+    auto runJob = [&](std::size_t i, int worker) {
+        JobSpan *sp = spans ? &(*spans)[i] : nullptr;
+        if (sp) {
+            sp->worker = worker;
+            sp->startNs = now_ns();
+        }
+        bool cached = false;
+        try {
+            const RunCache::InputSource input = [&inputs, i] {
+                return inputs.acquire(i);
+            };
+            if (cache)
+                results[i] = cache->getOrRun(jobs[i], &cached, input);
+            else
+                results[i] =
+                    runWorkload(jobs[i].workload, *input(), jobs[i].cfg);
+        } catch (...) {
+            errors[i] = std::current_exception();
+        }
+        inputs.release(i);
+        if (sp) {
+            sp->endNs = now_ns();
+            sp->cacheHit = cached;
+        }
+        if (progress)
+            progressLine(done, jobs.size(), jobs[i], cached);
+    };
 
     if (nJobs <= 1 || jobs.size() <= 1) {
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            JobSpan *sp = spans ? &(*spans)[i] : nullptr;
-            if (sp) {
-                sp->worker = -1;
-                sp->submitNs = now_ns();
-                sp->startNs = sp->submitNs;
-            }
-            bool cached = false;
-            results[i] = runOne(jobs[i], &cached);
-            if (sp) {
-                sp->endNs = now_ns();
-                sp->cacheHit = cached;
-            }
-            if (progress)
-                progressLine(done, jobs.size(), jobs[i], cached);
+        for (std::size_t i : inputs.order) {
+            if (spans)
+                (*spans)[i].submitNs = now_ns();
+            runJob(i, -1);
         }
-        return results;
-    }
-
-    std::vector<std::exception_ptr> errors(jobs.size());
-    {
+    } else {
         ThreadPool pool(std::min<int>(
             nJobs, static_cast<int>(jobs.size())));
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            JobSpan *sp = spans ? &(*spans)[i] : nullptr;
-            if (sp)
-                sp->submitNs = now_ns();
-            pool.submit([this, &jobs, &results, &errors, &done, sp,
-                         now_ns, i] {
-                if (sp) {
-                    sp->worker = ThreadPool::currentWorkerIndex();
-                    sp->startNs = now_ns();
-                }
-                bool cached = false;
-                try {
-                    results[i] = runOne(jobs[i], &cached);
-                } catch (...) {
-                    errors[i] = std::current_exception();
-                }
-                if (sp) {
-                    sp->endNs = now_ns();
-                    sp->cacheHit = cached;
-                }
-                if (progress)
-                    progressLine(done, jobs.size(), jobs[i], cached);
+        for (std::size_t i : inputs.order) {
+            if (spans)
+                (*spans)[i].submitNs = now_ns();
+            pool.submit([&runJob, i] {
+                runJob(i, ThreadPool::currentWorkerIndex());
             });
         }
         pool.wait();
     }
+    nInputsLoaded = inputs.loaded();
     for (const std::exception_ptr &err : errors) {
         if (err)
             std::rethrow_exception(err);

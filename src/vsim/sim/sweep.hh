@@ -95,9 +95,15 @@ class RunCache
      * a failure is never memoized, so a later retry simulates again.
      * When @p cache_hit is non-null it is set to whether the run was
      * satisfied without simulating (a blocking wait on an in-flight
-     * run and a disk-store hit both count).
+     * run and a disk-store hit both count). A run that must simulate
+     * takes its input from @p input when given (SweepRunner shares
+     * one per workload across its batch), else builds its own with
+     * loadWorkload; a hit never asks for one.
      */
-    RunResult getOrRun(const SweepJob &job, bool *cache_hit = nullptr);
+    using InputSource =
+        std::function<std::shared_ptr<const WorkloadInput>()>;
+    RunResult getOrRun(const SweepJob &job, bool *cache_hit = nullptr,
+                       const InputSource &input = {});
 
     /**
      * Attach a persistent disk store (nullptr detaches). Subsequent
@@ -141,8 +147,19 @@ class SweepRunner
      * results indexed exactly like @p jobs regardless of completion
      * order. If any job fails, the error of the earliest failing job
      * is rethrown after the pool drains.
+     *
+     * Jobs of one (workload, scale) share one WorkloadInput: it is
+     * built on the first cache miss that needs it (late arrivals wait
+     * for that build, a batch of hits builds none), and dropped when
+     * the last job naming it ends. Such jobs are started back to
+     * back, inputs in order of first appearance, so about one input
+     * per worker is live at a time. A failed build fails every job
+     * that needed it.
      */
     std::vector<RunResult> run(const std::vector<SweepJob> &jobs);
+
+    /** Inputs the last run() built (loadWorkload calls). */
+    std::size_t inputsLoaded() const { return nInputsLoaded; }
 
     int jobCount() const { return nJobs; }
 
@@ -164,10 +181,9 @@ class SweepRunner
     static int defaultJobs();
 
   private:
-    RunResult runOne(const SweepJob &job, bool *cache_hit);
-
     int nJobs;
     RunCache *cache;
+    std::size_t nInputsLoaded = 0;
     bool progress = false;
     std::vector<JobSpan> *spans = nullptr;
 };

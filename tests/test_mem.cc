@@ -7,6 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "vsim/base/logging.hh"
+#include "vsim/base/state_io.hh"
 #include "vsim/mem/cache.hh"
 #include "vsim/mem/mem_image.hh"
 
@@ -60,6 +65,147 @@ TEST(MemImage, WriteBlock)
     m.writeBlock(0x3000, bytes, sizeof(bytes));
     for (int i = 0; i < 5; ++i)
         EXPECT_EQ(m.readByte(0x3000 + i), bytes[i]);
+}
+
+// ---- page-at-a-time fast path vs the per-byte definition ----------------
+
+/** The per-byte definition of MemImage::read. */
+std::uint64_t
+readPerByte(const MemImage &m, std::uint64_t addr, int size)
+{
+    std::uint64_t value = 0;
+    for (int i = 0; i < size; ++i)
+        value |= static_cast<std::uint64_t>(m.readByte(addr + i)) << (8 * i);
+    return value;
+}
+
+/** The per-byte definition of MemImage::write. */
+void
+writePerByte(MemImage &m, std::uint64_t addr, std::uint64_t value, int size)
+{
+    for (int i = 0; i < size; ++i)
+        m.writeByte(addr + i, static_cast<std::uint8_t>(value >> (8 * i)));
+}
+
+/** Distinct nonzero bytes over [base, base + len). */
+void
+fillPattern(MemImage &m, std::uint64_t base, std::uint64_t len)
+{
+    for (std::uint64_t i = 0; i < len; ++i)
+        m.writeByte(base + i, static_cast<std::uint8_t>(i * 7 + 1));
+}
+
+TEST(MemImage, PageTailAccessesMatchPerByteDefinition)
+{
+    const std::uint64_t page = 5 * MemImage::kPageSize;
+    const std::uint64_t next = page + MemImage::kPageSize;
+    const std::uint64_t value = 0x0102030405060708ull;
+    for (bool nextMapped : {false, true}) {
+        for (std::uint64_t off = MemImage::kPageSize - 8;
+             off < MemImage::kPageSize; ++off) {
+            for (int size : {1, 2, 4, 8}) {
+                SCOPED_TRACE(testing::Message()
+                             << "next page mapped " << nextMapped
+                             << ", offset " << off << ", size " << size);
+                MemImage fast;
+                fillPattern(fast, page, MemImage::kPageSize);
+                if (nextMapped)
+                    fillPattern(fast, next, MemImage::kPageSize);
+                MemImage ref = fast;
+                const std::uint64_t addr = page + off;
+
+                EXPECT_EQ(fast.read(addr, size),
+                          readPerByte(fast, addr, size));
+
+                fast.write(addr, value, size);
+                writePerByte(ref, addr, value, size);
+                EXPECT_EQ(fast.mappedPages(), ref.mappedPages());
+                for (std::uint64_t a = page;
+                     a < next + MemImage::kPageSize; ++a)
+                    ASSERT_EQ(fast.readByte(a), ref.readByte(a))
+                        << "byte " << a;
+                EXPECT_EQ(fast.read(addr, size),
+                          readPerByte(ref, addr, size));
+            }
+        }
+    }
+}
+
+TEST(MemImage, AccessWrapsPast64BitsToPageZero)
+{
+    const std::uint64_t addr = ~0ull - 3; // 2^64 - 4
+    const std::uint64_t value = 0x8877665544332211ull;
+    MemImage m;
+    EXPECT_EQ(m.read(addr, 8), 0u);
+    m.write(addr, value, 8);
+    EXPECT_EQ(m.mappedPages(), 2u);
+    EXPECT_EQ(m.read(addr, 8), value);
+    EXPECT_EQ(m.read(addr, 8), readPerByte(m, addr, 8));
+    // The low four bytes sit at the top of memory, the high four at
+    // address 0 of page 0.
+    EXPECT_EQ(m.read(addr, 4), 0x44332211u);
+    EXPECT_EQ(m.read(0, 4), 0x88776655u);
+    EXPECT_EQ(m.readByte(4), 0u);
+
+    MemImage ref;
+    writePerByte(ref, addr, value, 8);
+    for (std::uint64_t a : {~0ull - 3, ~0ull - 2, ~0ull - 1, ~0ull, 0ull,
+                            1ull, 2ull, 3ull, 4ull})
+        EXPECT_EQ(m.readByte(a), ref.readByte(a)) << "byte " << a;
+}
+
+TEST(MemImage, WriteBlockAcrossThreePages)
+{
+    const std::uint64_t addr = 0x7000 + MemImage::kPageSize - 96;
+    std::vector<std::uint8_t> data(MemImage::kPageSize + 200);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<std::uint8_t>(i * 13 + 5);
+    MemImage m;
+    m.writeBlock(addr, data.data(), data.size());
+    EXPECT_EQ(m.mappedPages(), 3u);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        ASSERT_EQ(m.readByte(addr + i), data[i]) << "byte " << i;
+    EXPECT_EQ(m.readByte(addr - 1), 0u);
+    EXPECT_EQ(m.readByte(addr + data.size()), 0u);
+}
+
+// ---- snapshot decoder --------------------------------------------------
+
+/** A MEMI section holding one page per entry of @p pageNumbers. */
+std::vector<std::uint8_t>
+memSection(const std::vector<std::uint64_t> &pageNumbers)
+{
+    vsim::StateWriter w;
+    w.tag("MEMI");
+    w.u64(pageNumbers.size());
+    std::vector<std::uint8_t> page(MemImage::kPageSize);
+    for (std::uint64_t key : pageNumbers) {
+        page.assign(page.size(), static_cast<std::uint8_t>(key));
+        w.u64(key);
+        w.bytes(page.data(), page.size());
+    }
+    return w.take();
+}
+
+TEST(MemImage, RestoreRejectsDuplicateOrDescendingPages)
+{
+    {
+        const std::vector<std::uint8_t> bytes = memSection({3, 9});
+        vsim::StateReader r(bytes);
+        MemImage m;
+        m.restore(r);
+        EXPECT_EQ(m.mappedPages(), 2u);
+        EXPECT_EQ(m.readByte(9 * MemImage::kPageSize), 9u);
+    }
+    for (const std::vector<std::uint64_t> &keys :
+         {std::vector<std::uint64_t>{4, 4},
+          std::vector<std::uint64_t>{2, 7, 5},
+          std::vector<std::uint64_t>{1, 0}}) {
+        const std::vector<std::uint8_t> bytes = memSection(keys);
+        vsim::StateReader r(bytes);
+        MemImage m;
+        EXPECT_THROW(m.restore(r), vsim::FatalError);
+    }
 }
 
 CacheConfig

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <cstdint>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -387,6 +389,78 @@ TEST(RunCache, OwnerExceptionReleasesWaitersAndKey)
     cache.getOrRun(quickJob(), &hit);
     EXPECT_FALSE(hit);
     EXPECT_EQ(cache.size(), 1u);
+}
+
+// ---- shared workload inputs -------------------------------------------
+
+TEST(SweepRunner, SharesOneInputPerWorkload)
+{
+    // The quick fig3 grid interleaves its three workloads across its
+    // configurations: each workload's input is built once per batch,
+    // and every cell equals the same job run alone. Its first three
+    // configurations (9 cells) keep the ThreadSanitizer run short.
+    auto jobs = sim::sweepByName("fig3").build({true, 1, {}});
+    jobs.resize(9);
+    std::vector<sim::RunResult> alone;
+    for (const sim::SweepJob &j : jobs)
+        alone.push_back(sim::runWorkload(j.workload, j.scale, j.cfg));
+    for (int workers : {1, 4}) {
+        SCOPED_TRACE(workers);
+        sim::RunCache cache;
+        sim::SweepRunner runner(workers, &cache);
+        std::vector<sim::JobSpan> spans;
+        runner.setSpanSink(&spans);
+        const auto results = runner.run(jobs);
+        EXPECT_EQ(runner.inputsLoaded(), 3u);
+        EXPECT_EQ(sim::toJson(jobs, results), sim::toJson(jobs, alone));
+        if (workers == 1) {
+            // Serially, a workload's jobs run back to back, workloads
+            // in order of first appearance.
+            std::vector<std::size_t> started(jobs.size());
+            std::iota(started.begin(), started.end(), 0);
+            std::sort(started.begin(), started.end(),
+                      [&](std::size_t a, std::size_t b) {
+                          return spans[a].startNs < spans[b].startNs;
+                      });
+            EXPECT_EQ(started, (std::vector<std::size_t>{
+                                   0, 3, 6, 1, 4, 7, 2, 5, 8}));
+        }
+    }
+}
+
+TEST(SweepRunner, AllHitBatchLoadsNothing)
+{
+    const auto jobs = smallGrid();
+    sim::RunCache cache;
+    sim::SweepRunner runner(4, &cache);
+    runner.run(jobs);
+    EXPECT_EQ(runner.inputsLoaded(), 3u);
+    runner.run(jobs);
+    EXPECT_EQ(cache.hits(), jobs.size());
+    EXPECT_EQ(runner.inputsLoaded(), 0u);
+}
+
+TEST(SweepRunner, FailedInputFailsEveryJobThatNeedsIt)
+{
+    // Three jobs on a trace that does not exist, among good jobs, on
+    // four workers: run() must throw, not hang on the failed build.
+    sim::SweepJob missing = quickJob();
+    missing.workload = sim::traceWorkloadName("/nonexistent/missing.vst");
+    std::vector<sim::SweepJob> jobs;
+    for (const std::string w : {"queens", "m88k", "compress"}) {
+        jobs.push_back(missing);
+        jobs.push_back(quickJob(w));
+    }
+    // Uncached, every job needs its input: the missing trace is built
+    // once and its error reaches all three jobs.
+    sim::SweepRunner uncached(4, nullptr);
+    EXPECT_THROW(uncached.run(jobs), FatalError);
+    EXPECT_EQ(uncached.inputsLoaded(), 4u);
+    // Through a run cache the trace's content hash fails first.
+    sim::RunCache cache;
+    sim::SweepRunner cached(4, &cache);
+    EXPECT_THROW(cached.run(jobs), FatalError);
+    EXPECT_EQ(cache.size(), 3u);
 }
 
 // ---- JSON round-trip --------------------------------------------------

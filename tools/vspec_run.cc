@@ -34,7 +34,6 @@
 #include "vsim/sim/run_flags.hh"
 #include "vsim/sim/simulator.hh"
 #include "vsim/sim/sweep.hh"
-#include "vsim/trace/trace_io.hh"
 #include "vsim/workloads/workloads.hh"
 
 namespace
@@ -290,30 +289,26 @@ main(int argc, char **argv)
             r = runner.run({job}).front();
         } else {
             std::unique_ptr<core::OooCore> core;
-            if (!trace_file.empty()) {
-                trace::LoadedTrace loaded =
-                    trace::loadTrace(trace_file);
-                core = std::make_unique<core::OooCore>(
-                    loaded.program, std::move(loaded.trace), cfg);
-                r.workload = sim::traceWorkloadName(trace_file);
+            if (asm_file.empty()) {
+                r.workload = trace_file.empty()
+                                 ? workload
+                                 : sim::traceWorkloadName(trace_file);
+                const sim::WorkloadInput in =
+                    sim::loadWorkload(r.workload, scale);
+                core = std::make_unique<core::OooCore>(in.program,
+                                                       in.trace, cfg);
             } else {
-                assembler::Program prog;
-                if (!workload.empty()) {
-                    prog = workloads::buildProgram(
-                        workloads::byName(workload), scale);
-                } else {
-                    std::ifstream in(asm_file);
-                    if (!in) {
-                        std::fprintf(stderr, "cannot open %s\n",
-                                     asm_file.c_str());
-                        return 1;
-                    }
-                    std::ostringstream ss;
-                    ss << in.rdbuf();
-                    prog = assembler::assemble(ss.str(), asm_file);
+                std::ifstream in(asm_file);
+                if (!in) {
+                    std::fprintf(stderr, "cannot open %s\n",
+                                 asm_file.c_str());
+                    return 1;
                 }
-                core = std::make_unique<core::OooCore>(prog, cfg);
-                r.workload = workload.empty() ? asm_file : workload;
+                std::ostringstream ss;
+                ss << in.rdbuf();
+                core = std::make_unique<core::OooCore>(
+                    assembler::assemble(ss.str(), asm_file), cfg);
+                r.workload = asm_file;
             }
             const core::SimOutcome out = core->run();
             r.stats = out.stats;
